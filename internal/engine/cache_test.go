@@ -72,13 +72,13 @@ func TestFlightHandsResultToWaiters(t *testing.T) {
 	}
 	_, fl := c.claim("k")
 	r := &Result{Config: Config{Label: "x"}}
-	c.put("k", r) // rejected by the cap
+	c.Put("k", r) // rejected by the cap
 	c.release("k", r)
 	<-fl.done
 	if fl.result != r {
 		t.Fatal("waiter did not receive the leader's result")
 	}
-	if _, ok := c.lookup("k", Config{}); ok {
+	if _, ok := c.Lookup("k", Config{}); ok {
 		t.Fatal("oversized result unexpectedly resident")
 	}
 	if s := c.Stats(); s.Rejected != 1 {

@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	"secreta/internal/dataset"
-	"secreta/internal/faultfs"
 	"secreta/internal/obs"
 	"secreta/internal/policy"
 	"secreta/internal/registry"
@@ -146,39 +145,20 @@ func (s *Scheduler) runOne(ctx context.Context, ds *dataset.Dataset, cfg Config,
 	}
 	key := dsKey + "/" + cfg.cacheKey(memo)
 	for {
-		if r, ok := s.cache.lookup(key, cfg); ok {
-			// The cached Result carries the first submitter's Config
-			// (Label, pointer identities); answer with the caller's so
-			// labels aren't misattributed across requests.
+		if r, ok := s.cache.Lookup(key, cfg); ok {
 			obs.FromCtx(ctx).Event("cache_hit", obs.String("config", cfg.DisplayLabel()))
-			rc := *r
-			rc.Config = cfg
-			return Item{Index: i, Result: &rc, CacheHit: true}
+			return Item{Index: i, Result: r, CacheHit: true}
 		}
 		leader, fl := s.cache.claim(key)
 		if leader {
-			r := func() *Result {
-				released := false
-				releaseOnce := func(published *Result) {
-					if !released {
-						released = true
-						s.cache.release(key, published)
-					}
-				}
-				// Panic safety: a flight must never be left unreleased.
-				defer func() { releaseOnce(nil) }()
-				r := runShared(ctx, ds, cfg, sh)
-				if r.Err == nil {
-					s.cache.put(key, r)
-					// Wake the waiters before the (fsync'd) disk spill:
-					// N-1 duplicates must not stall behind persistence.
-					// The leader alone pays the write — that is what
-					// durability costs one writer.
-					releaseOnce(r)
-					s.cache.spill(key, r)
-				}
-				return r
-			}()
+			var published *Result
+			// Panic safety: a flight must never be left unreleased.
+			defer func() { s.cache.release(key, published) }()
+			r := runShared(ctx, ds, cfg, sh)
+			if r.Err == nil {
+				s.cache.Put(key, r)
+				published = r
+			}
 			return Item{Index: i, Result: r}
 		}
 		// Someone else is computing this key: wait for them. A successful
@@ -251,6 +231,13 @@ func (ih *inputHasher) digest(key any, write func(w io.Writer)) string {
 	return d
 }
 
+// CacheKey is the cache's key for a run of cfg over ds: the dataset's
+// fingerprint plus a digest of the configuration and its inputs — pure
+// content, valid across processes (secreta-serve names results by it).
+func CacheKey(ds *dataset.Dataset, cfg Config) string {
+	return ds.Fingerprint() + "/" + cfg.cacheKey(newInputHasher())
+}
+
 // cacheKey derives a content-based key for the configuration: scalar
 // parameters plus digests of the serialized hierarchies, policies and
 // workload, so two configs that would anonymize identically share a cache
@@ -295,22 +282,14 @@ func (c *Config) cacheKey(memo *inputHasher) string {
 // caps; Evictions counts entries dropped to stay within them and Rejected
 // counts results too large to ever fit the byte cap.
 type CacheStats struct {
-	Hits   uint64 `json:"hits"`
-	Misses uint64 `json:"misses"`
-	// DiskHits are hits served by rehydrating a persisted entry after a
-	// RAM miss; DiskErrors count backing failures (degraded, not fatal).
-	// DiskTransient is the subset of DiskErrors that classified transient
-	// (faultfs.IsTransient) — a flaky disk shows here, a broken one only
-	// in DiskErrors.
-	DiskHits      uint64 `json:"disk_hits"`
-	DiskErrors    uint64 `json:"disk_errors"`
-	DiskTransient uint64 `json:"disk_transient"`
-	Entries       int    `json:"entries"`
-	Bytes         int64  `json:"bytes"`
-	MaxEntries    int    `json:"max_entries"`
-	MaxBytes      int64  `json:"max_bytes"`
-	Evictions     uint64 `json:"evictions"`
-	Rejected      uint64 `json:"rejected"`
+	Hits       uint64 `json:"hits"`
+	Misses     uint64 `json:"misses"`
+	Entries    int    `json:"entries"`
+	Bytes      int64  `json:"bytes"`
+	MaxEntries int    `json:"max_entries"`
+	MaxBytes   int64  `json:"max_bytes"`
+	Evictions  uint64 `json:"evictions"`
+	Rejected   uint64 `json:"rejected"`
 }
 
 // Default result-cache caps: a long-lived server must not grow without
@@ -330,18 +309,10 @@ const (
 // copied; callers must treat them as immutable.
 type Cache struct {
 	lru     *registry.LRU
-	mu      sync.Mutex // guards flights, backing and the counters
+	mu      sync.Mutex // guards flights and the counters
 	flights map[string]*flight
-	backing CacheBacking // nil: RAM-only
 	hits    uint64
 	misses  uint64
-	// diskHits counts lookups served by rehydrating a persisted entry
-	// (a subset of hits); diskErrors counts backing failures, which
-	// degrade to misses/unsaved entries rather than failing the run.
-	// diskTransient is the transient-classed subset of diskErrors.
-	diskHits      uint64
-	diskErrors    uint64
-	diskTransient uint64
 }
 
 // flight is one in-progress computation. done is closed when the leader
@@ -371,49 +342,19 @@ func NewCacheSized(maxEntries int, maxBytes int64) *Cache {
 	}
 }
 
-// lookup answers key from RAM or, failing that, from the durable
-// backing: a persisted entry is decoded (the caller's cfg is content-
-// equal to the producer's, so it is re-attached), promoted into the RAM
-// LRU, and counted as a hit. Backing errors degrade to a miss.
-func (c *Cache) lookup(key string, cfg Config) (*Result, bool) {
-	if v, ok := c.lru.Get(key); ok {
-		c.countHit()
-		return v.(*Result), true
-	}
-	c.mu.Lock()
-	b := c.backing
-	c.mu.Unlock()
-	if b == nil {
+// Lookup answers key (a CacheKey) from the LRU, counting a hit. The
+// cached Result carries the first submitter's Config (Label, pointer
+// identities); the copy returned carries cfg, so labels aren't
+// misattributed across requests.
+func (c *Cache) Lookup(key string, cfg Config) (*Result, bool) {
+	v, ok := c.lru.Get(key)
+	if !ok {
 		return nil, false
 	}
-	data, err := b.LoadResult(key)
-	if err != nil {
-		c.countDiskError(err)
-		return nil, false
-	}
-	if data == nil {
-		return nil, false
-	}
-	r, err := decodeResult(data, cfg)
-	if err != nil {
-		c.countDiskError(err)
-		return nil, false
-	}
-	c.lru.Put(key, r, resultCost(r))
-	c.mu.Lock()
-	c.hits++
-	c.diskHits++
-	c.mu.Unlock()
-	return r, true
-}
-
-func (c *Cache) countDiskError(err error) {
-	c.mu.Lock()
-	c.diskErrors++
-	if faultfs.IsTransient(err) {
-		c.diskTransient++
-	}
-	c.mu.Unlock()
+	c.countHit()
+	rc := *v.(*Result)
+	rc.Config = cfg
+	return &rc, true
 }
 
 // countHit records a cache-backed answer that skipped computation —
@@ -451,29 +392,10 @@ func (c *Cache) release(key string, r *Result) {
 	}
 }
 
-// put inserts into the RAM LRU only; callers spill separately, after
-// releasing any single-flight waiters.
-func (c *Cache) put(key string, r *Result) {
+// Put inserts a successful result under key (a CacheKey), computed here
+// or read back from secreta-serve's result store.
+func (c *Cache) Put(key string, r *Result) {
 	c.lru.Put(key, r, resultCost(r))
-}
-
-// spill writes the entry through to the durable backing. A failure here
-// only costs post-restart reuse; the RAM entry and the job's own result
-// are unaffected.
-func (c *Cache) spill(key string, r *Result) {
-	c.mu.Lock()
-	b := c.backing
-	c.mu.Unlock()
-	if b == nil {
-		return
-	}
-	data, err := encodeResult(r)
-	if err == nil {
-		err = b.SaveResult(key, data)
-	}
-	if err != nil {
-		c.countDiskError(err)
-	}
 }
 
 // resultCost approximates a cached Result's resident size for the byte
@@ -495,16 +417,13 @@ func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Hits:          c.hits,
-		Misses:        c.misses,
-		DiskHits:      c.diskHits,
-		DiskErrors:    c.diskErrors,
-		DiskTransient: c.diskTransient,
-		Entries:       ls.Entries,
-		Bytes:         ls.Bytes,
-		MaxEntries:    ls.MaxEntries,
-		MaxBytes:      ls.MaxBytes,
-		Evictions:     ls.Evictions,
-		Rejected:      ls.Rejected,
+		Hits:       c.hits,
+		Misses:     c.misses,
+		Entries:    ls.Entries,
+		Bytes:      ls.Bytes,
+		MaxEntries: ls.MaxEntries,
+		MaxBytes:   ls.MaxBytes,
+		Evictions:  ls.Evictions,
+		Rejected:   ls.Rejected,
 	}
 }

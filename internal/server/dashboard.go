@@ -96,7 +96,7 @@ func (s *Server) handleDashboardData(w http.ResponseWriter, _ *http.Request) {
 	now := time.Now()
 	counts := s.jobs.counts()
 	phaseViews, _ := s.phases.snapshotAll()
-	cs := s.cache.Stats()
+	cs := s.cacheStats()
 	rs := s.registry.Stats()
 	streaming := map[string]any{
 		"active":             s.streams.active.Load(),

@@ -12,8 +12,9 @@ import (
 // Disk GC / retention: with -data-max-bytes set on a durable server, a
 // background sweeper keeps the data directory under the cap. Retention
 // is pinned-and-recent-first — eviction takes, in order, (1) the disk
-// result cache (always reconstructible), (2) the oldest unpinned
-// terminal jobs' results and traces, (3) the oldest dataset blobs that
+// result cache, i.e. unreferenced result files (always reconstructible),
+// (2) the oldest unpinned terminal jobs, whose result files then join
+// the cache for lever 1, (3) the oldest dataset blobs that
 // no tenant claims and no job pins. In-flight state is never touched:
 // queued/running jobs are not evictable, and a dataset referenced by any
 // queued or running job holds a registry pin (or lazy reservation) that
@@ -104,18 +105,18 @@ func (s *Server) sweepOnce() int64 {
 	gc.sweeps.Add(1)
 	defer func() { gc.lastSweep.Store(gc.now().Unix()) }()
 	usage := s.st.DiskUsage()
-	if usage > gc.maxBytes {
+	for usage > gc.maxBytes {
 		// Lever 1: the disk result cache. Every entry is a recomputable
 		// cache hit, so under cap pressure it is the first thing to go.
-		if removed := s.st.Cache.TrimTo(0, 0); removed > 0 {
+		if removed := s.st.ResultFiles.Trim(0, 0); removed > 0 {
 			gc.cacheTrimmed.Add(uint64(removed))
-			usage = s.st.DiskUsage()
+			if usage = s.st.DiskUsage(); usage <= gc.maxBytes {
+				break
+			}
 		}
-	}
-	// Lever 2: oldest unpinned terminal jobs — journal record, result
-	// blob, chunk file and trace go together, so no orphan can outlive
-	// its record. Queued/running jobs are not terminal and stay.
-	for usage > gc.maxBytes {
+		// Lever 2: oldest unpinned terminal jobs — journal record, result
+		// blob and trace go together, so no orphan can outlive its
+		// record. Queued/running jobs are not terminal and stay.
 		ids := s.jobs.evictOldestTerminal(gcJobBatch)
 		if len(ids) == 0 {
 			break

@@ -113,7 +113,7 @@ func TestGCKeepsDataDirUnderCapAndSparesInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2.Cache.TrimTo(0, 0)
+	st2.ResultFiles.Trim(0, 0)
 	capBytes := st2.DiskUsage() - 3*perJob
 	if capBytes <= 0 {
 		t.Fatalf("cap computed as %d", capBytes)
@@ -299,7 +299,7 @@ func TestGCCrashMidSweepRecoversClean(t *testing.T) {
 	countBlobs := func(s *store.Store) int {
 		t.Helper()
 		n := 0
-		for _, dirNames := range []func() ([]string, error){s.Results.Names, s.ResultChunks.Names, s.Traces.Names} {
+		for _, dirNames := range []func() ([]string, error){s.Results.Names, s.Traces.Names} {
 			names, err := dirNames()
 			if err != nil {
 				t.Fatal(err)

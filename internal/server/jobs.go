@@ -85,14 +85,17 @@ type job struct {
 	// the journal, whose trace is served from the store's trace blobs.
 	trace *obs.Trace
 
-	mu        sync.Mutex
-	status    Status
-	err       string
-	result    *jobResult // valid once status == StatusDone
-	load      func() (*jobResult, error)
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
+	mu     sync.Mutex
+	status Status
+	err    string
+	result *jobResult // valid once status == StatusDone
+	load   func() (*jobResult, error)
+	// resultAddr names the result file a done durable anonymize job
+	// references until it leaves the table.
+	resultAddr string
+	submitted  time.Time
+	started    time.Time
+	finished   time.Time
 	// clientCancel marks a DELETE-initiated cancellation, so it is
 	// journaled terminally even when it races process shutdown (a
 	// shutdown-driven cancel is deliberately left un-finalized and
@@ -156,31 +159,42 @@ func (j *job) finish(payload *jobResult, err error, ctxErr error, hasResult bool
 		j.mu.Unlock()
 		return
 	}
-	j.finished = time.Now()
+	finished, byClient := time.Now(), j.clientCancel
+	j.mu.Unlock()
+	var status Status
+	var errMsg string
 	switch {
 	case err == nil && payload != nil:
 		// A payload with no error is completed work, even if the context
 		// expired in the instant between fn returning and this check — a
 		// job that beat its deadline must not be reported timed_out.
-		j.status = StatusDone
-		j.result = payload
+		status = StatusDone
 	case errors.Is(ctxErr, context.DeadlineExceeded):
-		j.status = StatusTimedOut
-		j.err = fmt.Sprintf("job exceeded its deadline: %v", ctxErr)
+		status = StatusTimedOut
+		errMsg = fmt.Sprintf("job exceeded its deadline: %v", ctxErr)
 	case ctxErr != nil:
-		j.status = StatusCancelled
+		status = StatusCancelled
 		if err != nil {
-			j.err = err.Error()
+			errMsg = err.Error()
 		}
 	case err != nil:
-		j.status = StatusFailed
-		j.err = err.Error()
+		status = StatusFailed
+		errMsg = err.Error()
 	default:
-		j.status = StatusDone
-		j.result = payload
+		status = StatusDone
 	}
-	status, errMsg, byClient := j.status, j.err, j.clientCancel
-	j.mu.Unlock()
+	// The terminal state becomes observable only on return, once its
+	// journal record and trace are on disk: what a poller saw survives a
+	// crash.
+	defer func() {
+		j.mu.Lock()
+		// payload is nil unless the job is done.
+		j.finished, j.status, j.err, j.result = finished, status, errMsg, payload
+		if payload != nil {
+			j.resultAddr = payload.addr
+		}
+		j.mu.Unlock()
+	}()
 	// A cancellation caused by process shutdown is deliberately NOT
 	// journaled: the durable record stays in-flight, so the next boot
 	// re-queues the job — a graceful restart and a crash converge on the
@@ -194,9 +208,11 @@ func (j *job) finish(payload *jobResult, err error, ctxErr error, hasResult bool
 		j.trace.Finish()
 		return
 	}
-	j.js.journal(func(jl *store.Journal) error {
-		return jl.Finish(j.id, string(status), errMsg, hasResult)
-	})
+	var ref *store.ResultRef
+	if payload != nil && payload.addr != "" {
+		ref = &store.ResultRef{Addr: payload.addr, CacheHit: payload.meta.CacheHit, Results: payload.meta.Results}
+	}
+	j.js.journal(func(jl *store.Journal) error { return jl.Finish(j.id, string(status), errMsg, hasResult, ref) })
 	// Close the trace with the terminal status and persist the final
 	// snapshot beside the journal record, so GET /jobs/{id}/trace keeps
 	// answering after a restart.
@@ -247,19 +263,16 @@ func (j *job) snapshot() (Status, *jobResult, string) {
 // jobStore issues sequential job IDs and tracks jobs, evicting the oldest
 // finished jobs (results included) once the population exceeds max — a
 // long-lived server must not grow without bound. With a journal attached,
-// every transition is WAL-logged and evictions delete the durable record
-// and result blob too.
+// every transition is WAL-logged, and evictions delete the durable record
+// and result blob too and drop the job's result-file reference.
 type jobStore struct {
 	mu   sync.Mutex
 	seq  int
 	max  int
 	jobs map[string]*job
 
-	jl      *store.Journal    // nil: memory-only
-	results *store.BlobDir    // nil: memory-only
-	chunks  *store.ChunkedDir // nil: memory-only
-	traces  *store.BlobDir    // nil: traces are memory-only
-	logger  *slog.Logger
+	st     *store.Store // nil: memory-only
+	logger *slog.Logger
 	// shuttingDown reports whether the server's base context is done —
 	// shutdown-driven cancellations are left un-finalized in the journal
 	// so the next boot re-queues them (see job.finish).
@@ -288,18 +301,14 @@ func newJobStore(max int) *jobStore {
 	return &jobStore{max: max, jobs: make(map[string]*job)}
 }
 
-// attachStore wires the journal, result-blob and trace-blob directories
-// in and aligns the ID sequence past everything the journal has seen, so
-// recovered and new jobs never collide. Must be called before the store
-// takes traffic.
-func (s *jobStore) attachStore(jl *store.Journal, results *store.BlobDir, chunks *store.ChunkedDir, traces *store.BlobDir) {
+// attachStore wires the durable store in and aligns the ID sequence past
+// everything the journal has seen, so recovered and new jobs never
+// collide. Must be called before the store takes traffic.
+func (s *jobStore) attachStore(st *store.Store) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.jl = jl
-	s.results = results
-	s.chunks = chunks
-	s.traces = traces
-	if seq := jl.Seq(); seq > s.seq {
+	s.st = st
+	if seq := st.Journal.Seq(); seq > s.seq {
 		s.seq = seq
 	}
 }
@@ -308,12 +317,12 @@ func (s *jobStore) attachStore(jl *store.Journal, results *store.BlobDir, chunks
 // blob dir. Failures degrade the trace to memory-only (lost on restart),
 // never the job itself.
 func (s *jobStore) persistTrace(id string, tr *obs.Trace) {
-	if s.traces == nil || tr == nil {
+	if s.st == nil || tr == nil {
 		return
 	}
 	data, err := json.Marshal(tr.View())
 	if err == nil {
-		err = s.traces.Put(id, data)
+		err = s.st.Traces.Put(id, data)
 	}
 	if err != nil {
 		s.log().Warn("persisting job trace failed", "job_id", id, "err", err)
@@ -326,10 +335,10 @@ func (s *jobStore) persistTrace(id string, tr *obs.Trace) {
 // bug into an availability one. (The record is then simply absent on
 // replay — the same outcome as crashing a moment earlier.)
 func (s *jobStore) journal(fn func(*store.Journal) error) {
-	if s.jl == nil {
+	if s.st == nil {
 		return
 	}
-	if err := fn(s.jl); err != nil {
+	if err := fn(s.st.Journal); err != nil {
 		s.log().Error("journal append failed", "err", err)
 		if s.onJournalError != nil {
 			s.onJournalError(err)
@@ -390,7 +399,8 @@ func (s *jobStore) add(kind string, cancel context.CancelFunc, maxPending int, b
 // restore re-inserts a job from its journal record during recovery: a
 // terminal job keeps its status (and lazily loads its result through
 // load); an in-flight one comes back as queued, to be re-run by the
-// caller. Restore does not journal — the record already exists.
+// caller. Restore does not journal — the record already exists — and
+// takes no result-file reference: Store.Open counted the journal's.
 func (s *jobStore) restore(rec store.JobRecord, load func() (*jobResult, error), cancel context.CancelFunc) *job {
 	status := Status(rec.Status)
 	j := &job{
@@ -411,6 +421,9 @@ func (s *jobStore) restore(rec store.JobRecord, load func() (*jobResult, error),
 		// the trace blob dir); no live trace is opened.
 		j.started = rec.StartedAt
 		j.finished = rec.FinishedAt
+		if rec.Result != nil {
+			j.resultAddr = rec.Result.Addr
+		}
 	} else {
 		// A re-queued job records a fresh trace for its re-run.
 		j.status = StatusQueued
@@ -429,46 +442,48 @@ func (s *jobStore) restore(rec store.JobRecord, load func() (*jobResult, error),
 	return j
 }
 
-// dropDurable erases journal records and persisted results. Callers
-// invoke it outside s.mu — it fsyncs.
-func (s *jobStore) dropDurable(ids []string) {
-	for _, id := range ids {
+// dropDurable erases the jobs' journal records, result blobs and traces
+// and drops their result-file references (the files stay, as disk cache
+// entries). Callers invoke it outside s.mu — it fsyncs.
+func (s *jobStore) dropDurable(jobs []*job) {
+	if s.st == nil {
+		return
+	}
+	for _, j := range jobs {
+		id := j.id
 		s.journal(func(jl *store.Journal) error { return jl.Delete(id) })
-		if s.results != nil {
-			if err := s.results.Delete(id); err != nil {
-				s.log().Warn("deleting result blob failed", "job_id", id, "err", err)
-			}
+		if err := s.st.Results.Delete(id); err != nil {
+			s.log().Warn("deleting result blob failed", "job_id", id, "err", err)
 		}
-		if s.chunks != nil {
-			if err := s.chunks.Delete(id); err != nil {
-				s.log().Warn("deleting result stream failed", "job_id", id, "err", err)
-			}
+		j.mu.Lock()
+		addr := j.resultAddr
+		j.mu.Unlock()
+		if addr != "" {
+			s.st.ResultFiles.Release(addr)
 		}
-		if s.traces != nil {
-			if err := s.traces.Delete(id); err != nil {
-				s.log().Warn("deleting trace blob failed", "job_id", id, "err", err)
-			}
+		if err := s.st.Traces.Delete(id); err != nil {
+			s.log().Warn("deleting trace blob failed", "job_id", id, "err", err)
 		}
 	}
 }
 
 // evictLocked drops the oldest terminal jobs until the store fits max and
-// returns their IDs for durable cleanup (done by the caller, off-lock).
+// returns them for durable cleanup (done by the caller, off-lock).
 // Queued and running jobs are never evicted.
-func (s *jobStore) evictLocked() []string {
+func (s *jobStore) evictLocked() []*job {
 	if s.max <= 0 || len(s.jobs) <= s.max {
 		return nil
 	}
 	// Oldest first by numeric submission order — IDs are zero-padded for
 	// display and would misorder lexicographically past the padding width.
 	terminal := s.terminalOldestLocked()
-	var evicted []string
+	var evicted []*job
 	for _, j := range terminal {
 		if len(s.jobs) <= s.max {
 			break
 		}
 		delete(s.jobs, j.id)
-		evicted = append(evicted, j.id)
+		evicted = append(evicted, j)
 	}
 	return evicted
 }
@@ -476,13 +491,14 @@ func (s *jobStore) evictLocked() []string {
 // remove deletes a job record outright; it reports whether id existed.
 func (s *jobStore) remove(id string) bool {
 	s.mu.Lock()
-	if _, ok := s.jobs[id]; !ok {
+	j, ok := s.jobs[id]
+	if !ok {
 		s.mu.Unlock()
 		return false
 	}
 	delete(s.jobs, id)
 	s.mu.Unlock()
-	s.dropDurable([]string{id})
+	s.dropDurable([]*job{j})
 	return true
 }
 
@@ -637,9 +653,10 @@ func (s *jobStore) terminalOldestLocked() []*job {
 }
 
 // evictOldestTerminal removes up to n of the oldest terminal jobs
-// (journal record, result and trace blobs included) and returns their
-// IDs. Queued and running jobs are never touched — the GC lever for
-// reclaiming result bytes without risking in-flight state.
+// (journal record, result and trace blobs and result-file reference
+// included) and returns their IDs. Queued and running jobs are never
+// touched — the GC lever for reclaiming result bytes without risking
+// in-flight state.
 func (s *jobStore) evictOldestTerminal(n int) []string {
 	if n <= 0 {
 		return nil
@@ -655,6 +672,6 @@ func (s *jobStore) evictOldestTerminal(n int) []string {
 		ids = append(ids, j.id)
 	}
 	s.mu.Unlock()
-	s.dropDurable(ids)
+	s.dropDurable(terminal)
 	return ids
 }

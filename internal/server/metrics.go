@@ -105,14 +105,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		p.sample("_count", [][2]string{{"phase", n}}, float64(q.Count))
 	}
 
-	cs := s.cache.Stats()
-	p.start("secreta_cache_hits_total", "counter", "Result cache hits served from RAM.")
+	cs := s.cacheStats()
+	p.start("secreta_cache_hits_total", "counter", "Result cache hits (RAM and disk).")
 	p.sample("", nil, float64(cs.Hits))
 	p.start("secreta_cache_misses_total", "counter", "Result cache misses (computed fresh).")
 	p.sample("", nil, float64(cs.Misses))
-	p.start("secreta_cache_disk_hits_total", "counter", "Cache hits rehydrated from the disk backing.")
+	p.start("secreta_cache_disk_hits_total", "counter", "Cache hits read back from the result store.")
 	p.sample("", nil, float64(cs.DiskHits))
-	p.start("secreta_cache_disk_errors_total", "counter", "Disk-backing failures (degraded to recompute).")
+	p.start("secreta_cache_disk_errors_total", "counter", "Failed result-file reads and writes (degraded, never fatal).")
 	p.sample("", nil, float64(cs.DiskErrors))
 	p.start("secreta_cache_evictions_total", "counter", "Cache entries evicted by the size caps.")
 	p.sample("", nil, float64(cs.Evictions))

@@ -19,23 +19,22 @@ import (
 // Result payloads. Series jobs (evaluate/compare) keep a small, fully
 // materialized JSON document. Anonymize jobs — whose payload is dominated
 // by the anonymized records — are held as a small meta document plus a
-// replayable record stream (the interned columnar form in RAM, or a
-// framed chunk file on disk), and both the buffered and the NDJSON
-// response are assembled from it incrementally: serving an N-record
-// result never builds an O(N) buffer.
+// replayable record stream (the interned columnar form in RAM, or the
+// result file on disk), and both the buffered and the NDJSON response
+// are assembled from it incrementally: serving an N-record result never
+// builds an O(N) buffer.
 
 // chunkTarget is the record-chunk granularity: the size of the frames the
 // server persists and of the write/flush batches it streams to clients.
 const chunkTarget = 64 << 10
 
 // anonMeta is the constant-size part of an anonymize result — everything
-// except the records. Serialized compact, it is both the NDJSON stream's
-// header line and frame 0 of the chunked result file.
+// except the records. Serialized compact, it is the NDJSON stream's
+// header line. A durable job keeps the header in its result file's frame
+// 0 (storedMeta) and CacheHit and Results in the journal.
 type anonMeta struct {
-	Attributes  []export.StreamAttr `json:"attributes"`
-	Transaction string              `json:"transaction,omitempty"`
-	Records     int                 `json:"records"`
-	CacheHit    bool                `json:"cache_hit"`
+	export.StreamHeader
+	CacheHit bool `json:"cache_hit"`
 	// Results is the compact `secreta evaluate -results`-style array, the
 	// same bytes the buffered document carries under "results".
 	Results json.RawMessage `json:"results"`
@@ -71,15 +70,15 @@ func (m memRecords) stream(emit func(line []byte) error) error {
 	return err
 }
 
-// diskRecords streams from a framed chunk file, one frame in memory at a
+// diskRecords streams from a result file, one frame in memory at a
 // time — the serving path for durable and rehydrated jobs.
 type diskRecords struct {
-	chunks *store.ChunkedDir
-	id     string
+	files *store.ResultStore
+	addr  string
 }
 
 func (d diskRecords) stream(emit func(line []byte) error) error {
-	r, err := d.chunks.Open(d.id)
+	r, err := d.files.Open(d.addr)
 	if err != nil {
 		return err
 	}
@@ -109,11 +108,13 @@ func (d diskRecords) stream(emit func(line []byte) error) error {
 }
 
 // jobResult is what a finished job retains and serves. Exactly one shape
-// is populated: full for series jobs, meta+recs for anonymize jobs.
+// is populated: full for series jobs, meta+recs for anonymize jobs. addr
+// is the result file a durable anonymize job references ("" otherwise).
 type jobResult struct {
 	full []byte
 	meta *anonMeta
 	recs resultRecords
+	addr string
 }
 
 // jobOutcome is what a job's runnable hands back on success; finishJob
@@ -122,6 +123,11 @@ type jobOutcome struct {
 	payload []byte    // complete JSON document (series jobs)
 	meta    *anonMeta // anonymize jobs
 	records dataset.RecordSource
+	// Durable servers: stored is frame 0 of the result file at addr; held
+	// means the job already references it (a disk hit).
+	stored *storedMeta
+	addr   string
+	held   bool
 }
 
 // ---- payload builders (series jobs keep the legacy buffered form) ----
@@ -180,14 +186,9 @@ func anonymizeOutcome(res *engine.Result, cacheHit bool) (*jobOutcome, error) {
 	}
 	hdr := export.HeaderFor(src)
 	return &jobOutcome{
-		meta: &anonMeta{
-			Attributes:  hdr.Attributes,
-			Transaction: hdr.Transaction,
-			Records:     hdr.Records,
-			CacheHit:    cacheHit,
-			Results:     compact.Bytes(),
-		},
+		meta:    &anonMeta{StreamHeader: hdr, CacheHit: cacheHit, Results: compact.Bytes()},
 		records: src,
+		stored:  &storedMeta{StreamHeader: hdr, Runtime: res.Runtime, Phases: res.Phases, Indicators: res.Indicators},
 	}, nil
 }
 

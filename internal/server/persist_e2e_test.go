@@ -271,7 +271,7 @@ func TestServerBootsFromTornWAL(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Journal.Finish("j-000001", string(StatusFailed), "whatever", false); err != nil {
+	if err := st.Journal.Finish("j-000001", string(StatusFailed), "whatever", false, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Crash-close, then tear the tail mid-record.
@@ -299,9 +299,14 @@ func TestServerBootsFromTornWAL(t *testing.T) {
 
 // TestJobTimeout pins the timed_out lifecycle: a compare sweep with a
 // 1ms budget cannot finish and must land in StatusTimedOut (422 on the
-// result endpoint), distinct from cancelled.
+// result endpoint), distinct from cancelled. The job is held until its
+// deadline has passed before its body runs, so the outcome does not
+// depend on how fast the machine runs the sweep.
 func TestJobTimeout(t *testing.T) {
-	ts := newTestServer(t)
+	srv := mustNew(t, context.Background(), Options{Workers: 4})
+	srv.beforeRun = func(ctx context.Context) { <-ctx.Done() }
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
 	raw, _ := patientsJSON(t)
 	_, sub := postJSON(t, ts.URL+"/compare", map[string]any{
 		"dataset": json.RawMessage(raw),
@@ -442,11 +447,18 @@ func TestDurableJobEvictionCleansDisk(t *testing.T) {
 			t.Fatal("evicted job still journaled")
 		}
 	}
-	if st.Results.Has(ids[0]) || st.ResultChunks.Has(ids[0]) {
+	if st.Results.Has(ids[0]) {
 		t.Fatal("evicted job's result still on disk")
 	}
-	// Anonymize results persist as chunked record-stream files.
-	if !st.ResultChunks.Has(ids[2]) {
+	// Anonymize results persist as content-addressed result files, which
+	// the retained job's record references.
+	addr := ""
+	for _, rec := range st.Journal.Jobs() {
+		if rec.ID == ids[2] && rec.Result != nil {
+			addr = rec.Result.Addr
+		}
+	}
+	if addr == "" || !st.ResultFiles.Has(addr) || st.ResultFiles.Refs(addr) != 1 {
 		t.Fatal("retained job's result stream missing")
 	}
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -54,35 +53,29 @@ type recoveryInfo struct {
 	// OrphanBlobsSwept counts committed result/trace blobs whose job
 	// record is gone — a crash between a deletion's journal append and
 	// its blob removal leaves these behind; recovery finishes the job so
-	// no sweep double-deletes and no blob leaks.
+	// no sweep double-deletes and no blob leaks. (Result files are never
+	// orphans: unreferenced, they are the disk result cache.)
 	OrphanBlobsSwept int `json:"orphan_blobs_swept"`
 	// RestoredClaims counts journaled tenant dataset claims rebuilt into
 	// the in-RAM ownership table (multi-tenant mode only).
 	RestoredClaims int `json:"restored_claims,omitempty"`
 }
 
-// loadResult rehydrates a terminal job's result from disk: a chunked
-// record-stream file answers with its meta frame plus a reopenable disk
-// stream (the records are never loaded whole — every request streams them
-// frame by frame), a plain .json blob answers fully loaded.
-func (s *Server) loadResult(id string) (*jobResult, error) {
-	if s.st.ResultChunks.Has(id) {
-		r, err := s.st.ResultChunks.Open(id)
+// loadResult rehydrates a terminal job's result from disk. An anonymize
+// job's meta is its result file's frame 0 plus the per-job fields its
+// journal record carries, and its records stream from that file (never
+// loaded whole — every request streams them frame by frame); a series
+// job's .json blob answers fully loaded.
+func (s *Server) loadResult(rec store.JobRecord) (*jobResult, error) {
+	if ref := rec.Result; ref != nil {
+		m, err := s.readStoredMeta(ref.Addr)
 		if err != nil {
 			return nil, err
 		}
-		frame, err := r.Next()
-		r.Close()
-		if err != nil {
-			return nil, fmt.Errorf("reading result stream meta: %w", err)
-		}
-		var meta anonMeta
-		if err := json.Unmarshal(frame, &meta); err != nil {
-			return nil, fmt.Errorf("decoding result stream meta: %w", err)
-		}
-		return &jobResult{meta: &meta, recs: diskRecords{chunks: s.st.ResultChunks, id: id}}, nil
+		meta := &anonMeta{StreamHeader: m.StreamHeader, CacheHit: ref.CacheHit, Results: ref.Results}
+		return &jobResult{meta: meta, recs: diskRecords{files: s.st.ResultFiles, addr: ref.Addr}, addr: ref.Addr}, nil
 	}
-	data, err := s.st.Results.Get(id)
+	data, err := s.st.Results.Get(rec.ID)
 	if err != nil {
 		return nil, err
 	}
@@ -103,8 +96,7 @@ func (s *Server) recover() {
 			var load func() (*jobResult, error)
 			switch {
 			case rec.HasResult:
-				id := rec.ID
-				load = func() (*jobResult, error) { return s.loadResult(id) }
+				load = func() (*jobResult, error) { return s.loadResult(rec) }
 			case Status(rec.Status) == StatusDone:
 				// Journaled done but the result blob write failed before
 				// the crash: the result endpoint must say so, not answer
@@ -184,8 +176,8 @@ func (s *Server) restoreClaims() int {
 	return restored
 }
 
-// sweepOrphanBlobs removes committed result, stream and trace blobs
-// whose job is absent from the restored job table — the leftovers of a
+// sweepOrphanBlobs removes committed result and trace blobs whose job
+// is absent from the restored job table — the leftovers of a
 // deletion (GC eviction, explicit DELETE, retention) that crashed after
 // its journal append but before the blob unlink. Running after the job
 // table is rebuilt makes the sweep idempotent: a blob either has a live
@@ -206,9 +198,6 @@ func (s *Server) sweepOrphanBlobs() int {
 	}
 	if names, err := s.st.Results.Names(); err == nil {
 		sweepNames(names, s.st.Results.Delete, "result")
-	}
-	if names, err := s.st.ResultChunks.Names(); err == nil {
-		sweepNames(names, s.st.ResultChunks.Delete, "result_stream")
 	}
 	if names, err := s.st.Traces.Names(); err == nil {
 		sweepNames(names, s.st.Traces.Delete, "trace")

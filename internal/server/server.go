@@ -42,7 +42,6 @@ import (
 	"secreta/internal/dataset"
 	"secreta/internal/engine"
 	"secreta/internal/experiment"
-	"secreta/internal/export"
 	"secreta/internal/gen"
 	"secreta/internal/generalize"
 	"secreta/internal/hierarchy"
@@ -164,6 +163,14 @@ type Server struct {
 	tenants  *tenantSet
 	dispatch *dispatcher
 	gc       *gcState
+	// disk counts result-store hits and failed result-file reads and
+	// writes for the cache block (see cacheStats).
+	disk struct {
+		hits, errors, transient atomic.Uint64
+	}
+	// beforeRun, when set, runs just before a job's body with its
+	// execution context — tests hold a job past its deadline with it.
+	beforeRun func(context.Context)
 	// slots is the admission semaphore: a job must hold a slot to run.
 	slots chan struct{}
 	// uploadSlots bounds concurrent POST /datasets decodes. Uploads don't
@@ -211,7 +218,6 @@ func New(ctx context.Context, opts Options) (*Server, error) {
 	regBytes := capOrDefault(opts.RegistryMaxBytes, int64(DefaultRegistryBytes))
 	var reg *registry.Registry
 	if opts.Store != nil {
-		cache.SetBacking(opts.Store.Cache)
 		var err error
 		reg, err = registry.NewBacked(regEntries, regBytes, datasetBacking{opts.Store.Datasets})
 		if err != nil {
@@ -269,7 +275,7 @@ func New(ctx context.Context, opts Options) (*Server, error) {
 	if s.st == nil {
 		s.ready.Store(true)
 	} else {
-		s.jobs.attachStore(s.st.Journal, s.st.Results, s.st.ResultChunks, s.st.Traces)
+		s.jobs.attachStore(s.st)
 		s.jobs.shuttingDown = func() bool { return ctx.Err() != nil }
 		// A failed journal append is a durable-write fault like any other:
 		// classify it and, when permanent, latch degraded mode.
@@ -615,11 +621,8 @@ func (s *Server) prepareSingle(kind string, req *AnonymizeRequest, owner string)
 			return nil, err
 		}
 		fn := func(ctx context.Context) (*jobOutcome, error) {
-			ds, err := s.loadTraced(ctx, load)
+			ds, cfg, err := s.loadInputs(ctx, load, cfg, fanout, workload)
 			if err != nil {
-				return nil, err
-			}
-			if err := attachInputs(&cfg, ds, newHierSet(ds), fanout, workload); err != nil {
 				return nil, err
 			}
 			series, err := experiment.VaryingRunCtx(ctx, ds, cfg, sweep, s.uncached)
@@ -637,17 +640,21 @@ func (s *Server) prepareSingle(kind string, req *AnonymizeRequest, owner string)
 	var fn func(context.Context) (*jobOutcome, error)
 	if kind == "anonymize" {
 		fn = func(ctx context.Context) (*jobOutcome, error) {
-			res, cacheHit, err := s.runSingle(ctx, s.sched, load, cfg, fanout, workload)
+			ds, cfg, err := s.loadInputs(ctx, load, cfg, fanout, workload)
 			if err != nil {
 				return nil, err
 			}
-			return anonymizeOutcome(res, cacheHit)
+			return s.anonymize(ctx, ds, cfg)
 		}
 	} else {
 		fn = func(ctx context.Context) (*jobOutcome, error) {
+			ds, cfg, err := s.loadInputs(ctx, load, cfg, fanout, workload)
+			if err != nil {
+				return nil, err
+			}
 			// Uncached like the CLI: /evaluate is a measurement, so its
 			// runtime must come from a real execution.
-			res, _, err := s.runSingle(ctx, s.uncached, load, cfg, fanout, workload)
+			res, _, err := s.execute(ctx, s.uncached, ds, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -705,20 +712,26 @@ func (s *Server) prepareCompare(req *CompareRequest, owner string) (*preparedJob
 	return &preparedJob{fn: fn, release: release, timeout: s.effectiveTimeout(req.TimeoutMS), datasetRef: req.DatasetRef}, nil
 }
 
-// runSingle is the shared single-configuration job body: load the dataset
-// (decode inline rows, or hand back the pinned registry copy), attach
-// hierarchies/workload, and execute through the given scheduler. It runs
-// inside the job, behind admission control. The bool reports whether the
-// result was served from the cache — payloads surface it so a copied
-// runtime_s is never mistaken for a fresh measurement.
-func (s *Server) runSingle(ctx context.Context, sched *engine.Scheduler, load func() (*dataset.Dataset, error), cfg engine.Config, fanout int, workload *query.Workload) (*engine.Result, bool, error) {
+// loadInputs is the first half of a single-configuration job body: load
+// the dataset (decode inline rows, or hand back the pinned registry copy)
+// and attach hierarchies/workload to a copy of cfg. It runs inside the
+// job, behind admission control.
+func (s *Server) loadInputs(ctx context.Context, load func() (*dataset.Dataset, error), cfg engine.Config, fanout int, workload *query.Workload) (*dataset.Dataset, engine.Config, error) {
 	ds, err := s.loadTraced(ctx, load)
 	if err != nil {
-		return nil, false, err
+		return nil, cfg, err
 	}
 	if err := attachInputs(&cfg, ds, newHierSet(ds), fanout, workload); err != nil {
-		return nil, false, err
+		return nil, cfg, err
 	}
+	return ds, cfg, nil
+}
+
+// execute runs one configuration through the given scheduler. The bool
+// reports whether the result was served from the cache — payloads
+// surface it so a copied runtime_s is never mistaken for a fresh
+// measurement.
+func (s *Server) execute(ctx context.Context, sched *engine.Scheduler, ds *dataset.Dataset, cfg engine.Config) (*engine.Result, bool, error) {
 	var item engine.Item
 	got := false
 	for it := range sched.Stream(ctx, ds, []engine.Config{cfg}) {
@@ -1267,7 +1280,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	out := map[string]any{
-		"cache":    s.cache.Stats(),
+		"cache":    s.cacheStats(),
 		"registry": s.registry.Stats(),
 		"jobs":     s.jobs.counts(),
 		"phases":   s.phases.snapshot(),
@@ -1368,6 +1381,9 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, 
 	// context.
 	execSpan := j.trace.Root().Start("execute")
 	runCtx = obs.With(runCtx, execSpan)
+	if s.beforeRun != nil {
+		s.beforeRun(runCtx)
+	}
 	outcome, err := p.fn(runCtx)
 	execSpan.End()
 	s.finishJob(j, outcome, err, runCtx.Err())
@@ -1378,12 +1394,12 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, 
 // decides what the job retains in memory, and records the outcome.
 //
 // Series jobs keep their small document in RAM (and as a .json blob when
-// durable). Anonymize jobs are the streaming case: when durable, the
-// records are written once as a framed chunk file and the job retains
-// only the meta plus a reopenable disk stream — resident memory per
-// terminal job is O(1), and every later request serves O(chunk); without
-// a store, the job retains the records in interned columnar form, the
-// most compact replayable in-RAM shape.
+// durable). Anonymize jobs are the streaming case: when durable, the job
+// references its content-addressed result file and retains only the meta
+// plus a reopenable disk stream — resident memory per terminal job is
+// O(1), and every later request serves O(chunk); without a store, the
+// job retains the records in interned columnar form, the most compact
+// replayable in-RAM shape.
 func (s *Server) finishJob(j *job, outcome *jobOutcome, err error, ctxErr error) {
 	var res *jobResult
 	hasResult := false
@@ -1409,17 +1425,10 @@ func (s *Server) finishJob(j *job, outcome *jobOutcome, err error, ctxErr error)
 			}
 		case outcome.meta != nil:
 			res = &jobResult{meta: outcome.meta}
-			if s.st != nil {
-				if werr := s.writeChunkedResult(j.id, outcome.meta, outcome.records); werr != nil {
-					s.log().Warn("persisting result stream failed", "job_id", j.id, "err", werr)
-					persistSpan.Event("fault: result stream: " + werr.Error())
-					s.storeFault("result stream persist", werr)
-				} else {
-					hasResult = true
-				}
-			}
-			if hasResult {
-				res.recs = diskRecords{chunks: s.st.ResultChunks, id: j.id}
+			if s.st != nil && s.holdResult(j.id, outcome, persistSpan) {
+				res.recs = diskRecords{files: s.st.ResultFiles, addr: outcome.addr}
+				res.addr = outcome.addr
+				hasResult = true
 			} else {
 				res.recs = memRecords{src: retainSource(outcome.records)}
 			}
@@ -1442,52 +1451,6 @@ func retainSource(src dataset.RecordSource) dataset.RecordSource {
 		return dataset.Intern(ds)
 	}
 	return src
-}
-
-// writeChunkedResult persists an anonymize result as a framed chunk
-// file: frame 0 the compact meta document, then record lines batched
-// into chunkTarget-sized frames — written incrementally, fsync'd, and
-// atomically published.
-func (s *Server) writeChunkedResult(id string, meta *anonMeta, src dataset.RecordSource) error {
-	metaLine, err := json.Marshal(meta)
-	if err != nil {
-		return err
-	}
-	cw, err := s.st.ResultChunks.Create(id)
-	if err != nil {
-		return err
-	}
-	if err := cw.WriteFrame(metaLine); err != nil {
-		cw.Abort()
-		return err
-	}
-	buf := make([]byte, 0, chunkTarget+4096)
-	var scanErr error
-	src.ScanRecords(func(i int, rec dataset.Record) bool {
-		buf, scanErr = export.AppendRecordJSON(buf, rec)
-		if scanErr != nil {
-			return false
-		}
-		buf = append(buf, '\n')
-		if len(buf) >= chunkTarget {
-			if scanErr = cw.WriteFrame(buf); scanErr != nil {
-				return false
-			}
-			buf = buf[:0]
-		}
-		return true
-	})
-	if scanErr != nil {
-		cw.Abort()
-		return scanErr
-	}
-	if len(buf) > 0 {
-		if err := cw.WriteFrame(buf); err != nil {
-			cw.Abort()
-			return err
-		}
-	}
-	return cw.Commit()
 }
 
 // readBody reads the request body under the MaxBodyBytes cap.

@@ -91,12 +91,14 @@ func TestBufferedDocMatchesLegacyBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := &Server{st: st}
-		if err := s.writeChunkedResult("j-000001", outcome.meta, outcome.records); err != nil {
+		_, err = st.ResultFiles.Put("r1", false, func(cw *store.ChunkWriter) error {
+			return writeResultFrames(cw, outcome.stored, outcome.records)
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
 		var fromDisk bytes.Buffer
-		disk := diskRecords{chunks: st.ResultChunks, id: "j-000001"}
+		disk := diskRecords{files: st.ResultFiles, addr: "r1"}
 		if err := writeBufferedAnonymize(&fromDisk, outcome.meta, disk); err != nil {
 			t.Fatal(err)
 		}

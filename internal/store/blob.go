@@ -6,7 +6,6 @@ import (
 	"io/fs"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"secreta/internal/faultfs"
 )
@@ -59,7 +58,7 @@ func (b *BlobDir) Put(name string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(b.fsys, p, data)
+	return b.diag.write(func() error { return writeFileAtomic(b.fsys, p, data) })
 }
 
 // Get reads the blob under name; a missing blob answers ErrNoBlob.
@@ -100,96 +99,15 @@ func (b *BlobDir) Delete(name string) error {
 
 // Names lists the resident blob names, sorted.
 func (b *BlobDir) Names() ([]string, error) {
-	entries, err := b.fsys.ReadDir(b.dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), b.ext) {
-			continue
-		}
-		name := strings.TrimSuffix(e.Name(), b.ext)
-		if strings.HasPrefix(name, ".tmp-") || name == "" {
-			continue
-		}
-		out = append(out, name)
-	}
+	files, err := listDir(b.fsys, b.dir, b.ext)
+	out := names(files)
 	sort.Strings(out)
-	return out, nil
+	return out, err
 }
 
-// Stats walks the directory and sums blob count and bytes. Unreadable
-// entries are skipped — stats are advisory, not transactional.
+// Stats sums blob count and bytes. Unreadable entries are skipped —
+// stats are advisory, not transactional.
 func (b *BlobDir) Stats() BlobStats {
-	var s BlobStats
-	entries, err := b.fsys.ReadDir(b.dir)
-	if err != nil {
-		return s
-	}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), b.ext) || strings.HasPrefix(e.Name(), ".tmp-") {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		s.Count++
-		s.Bytes += info.Size()
-	}
-	return s
-}
-
-// Trim deletes the oldest blobs (by modification time) until the
-// directory fits maxEntries entries and maxBytes total size; a cap <= 0
-// is unbounded. It reports how many blobs were removed. Trim is
-// best-effort — concurrent writers may briefly overshoot the caps, and a
-// blob that fails to delete is counted (trim_errors on /stats), logged at
-// WARN, and skipped rather than aborting the pass: one undeletable file
-// must not shield every younger entry from the caps.
-func (b *BlobDir) Trim(maxEntries int, maxBytes int64) (removed int, err error) {
-	if maxEntries <= 0 && maxBytes <= 0 {
-		return 0, nil
-	}
-	entries, err := b.fsys.ReadDir(b.dir)
-	if err != nil {
-		b.diag.trimError(b.dir, err)
-		return 0, err
-	}
-	type blobFile struct {
-		path  string
-		size  int64
-		mtime int64
-	}
-	var files []blobFile
-	var total int64
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), b.ext) || strings.HasPrefix(e.Name(), ".tmp-") {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		files = append(files, blobFile{filepath.Join(b.dir, e.Name()), info.Size(), info.ModTime().UnixNano()})
-		total += info.Size()
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mtime < files[j].mtime })
-	kept := len(files)
-	for _, f := range files {
-		over := (maxEntries > 0 && kept > maxEntries) ||
-			(maxBytes > 0 && total > maxBytes)
-		if !over {
-			break
-		}
-		if err := b.fsys.Remove(f.path); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			b.diag.trimError(b.dir, err)
-			continue
-		}
-		removed++
-		kept--
-		total -= f.size
-	}
-	return removed, nil
+	files, _ := listDir(b.fsys, b.dir, b.ext)
+	return statsOf(files)
 }

@@ -9,7 +9,6 @@ import (
 	"io"
 	"io/fs"
 	"path/filepath"
-	"strings"
 
 	"secreta/internal/faultfs"
 )
@@ -41,39 +40,20 @@ const chunkHeaderSize = 8
 // a reader allocate gigabytes. Writers chunk well below this.
 const maxChunkFrame = 16 << 20
 
-// ChunkedDir stores framed chunk files in one directory, parallel to a
-// BlobDir (same naming rules, its own extension).
-type ChunkedDir struct {
-	fsys faultfs.FS
-	dir  string
-	ext  string
-}
+// resultExt is the extension of the chunk files a ResultStore holds.
+const resultExt = ".ndr"
 
-// NewChunkedDir creates dir if needed and returns a ChunkedDir whose
-// files all carry ext (e.g. ".ndr").
-func NewChunkedDir(dir, ext string) (*ChunkedDir, error) {
-	return newChunkedDir(faultfs.OS, dir, ext)
-}
-
-// newChunkedDir is NewChunkedDir over an explicit filesystem seam.
-func newChunkedDir(fsys faultfs.FS, dir, ext string) (*ChunkedDir, error) {
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: creating chunk dir: %w", err)
-	}
-	return &ChunkedDir{fsys: fsys, dir: dir, ext: ext}, nil
-}
-
-func (c *ChunkedDir) path(name string) (string, error) {
+func (c *ResultStore) path(name string) (string, error) {
 	if err := validBlobName(name); err != nil {
 		return "", err
 	}
-	return filepath.Join(c.dir, name+c.ext), nil
+	return filepath.Join(c.dir, name+resultExt), nil
 }
 
-// Create opens a writer for the named chunk file. Nothing is visible
+// create opens a writer for the named chunk file. Nothing is visible
 // under name until Commit; Abort (or a crash) leaves any previous file
 // untouched.
-func (c *ChunkedDir) Create(name string) (*ChunkWriter, error) {
+func (c *ResultStore) create(name string) (*ChunkWriter, error) {
 	p, err := c.path(name)
 	if err != nil {
 		return nil, err
@@ -165,7 +145,7 @@ func (w *ChunkWriter) Abort() {
 // Open positions a reader at the named file's first frame; a missing file
 // answers ErrNoBlob. Each Open is an independent pass over the frames, so
 // a stream is replayed by simply opening again.
-func (c *ChunkedDir) Open(name string) (*ChunkReader, error) {
+func (c *ResultStore) Open(name string) (*ChunkReader, error) {
 	p, err := c.path(name)
 	if err != nil {
 		return nil, err
@@ -233,44 +213,11 @@ func (r *ChunkReader) Close() error {
 }
 
 // Has reports whether a chunk file named name exists.
-func (c *ChunkedDir) Has(name string) bool {
+func (c *ResultStore) Has(name string) bool {
 	p, err := c.path(name)
 	if err != nil {
 		return false
 	}
 	_, err = c.fsys.Stat(p)
 	return err == nil
-}
-
-// Delete removes the chunk file under name; missing files are a no-op.
-func (c *ChunkedDir) Delete(name string) error {
-	p, err := c.path(name)
-	if err != nil {
-		return err
-	}
-	if err := c.fsys.Remove(p); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
-	}
-	return nil
-}
-
-// Stats sums chunk file count and bytes (advisory, like BlobDir.Stats).
-func (c *ChunkedDir) Stats() BlobStats {
-	var s BlobStats
-	entries, err := c.fsys.ReadDir(c.dir)
-	if err != nil {
-		return s
-	}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), c.ext) || strings.HasPrefix(e.Name(), ".tmp-") {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		s.Count++
-		s.Bytes += info.Size()
-	}
-	return s
 }

@@ -10,18 +10,9 @@ import (
 	"testing"
 )
 
-func newTestChunkedDir(t *testing.T) *ChunkedDir {
+func writeChunks(t *testing.T, c *ResultStore, name string, frames [][]byte) {
 	t.Helper()
-	c, err := NewChunkedDir(t.TempDir(), ".ndr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
-func writeChunks(t *testing.T, c *ChunkedDir, name string, frames [][]byte) {
-	t.Helper()
-	w, err := c.Create(name)
+	w, err := c.create(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +27,7 @@ func writeChunks(t *testing.T, c *ChunkedDir, name string, frames [][]byte) {
 	}
 }
 
-func readChunks(c *ChunkedDir, name string) ([][]byte, error) {
+func readChunks(c *ResultStore, name string) ([][]byte, error) {
 	r, err := c.Open(name)
 	if err != nil {
 		return nil, err
@@ -58,7 +49,7 @@ func readChunks(c *ChunkedDir, name string) ([][]byte, error) {
 // TestChunkedRoundTrip pins the frame format: what was written comes back
 // frame by frame, in order, on every independent Open (replayability).
 func TestChunkedRoundTrip(t *testing.T) {
-	c := newTestChunkedDir(t)
+	c := newTestResultStore(t, 0, 0)
 	frames := [][]byte{
 		[]byte(`{"meta":true}`),
 		bytes.Repeat([]byte("x"), 200_000), // bigger than the reader's buffer
@@ -82,8 +73,8 @@ func TestChunkedRoundTrip(t *testing.T) {
 	if !c.Has("job-1") || c.Has("job-2") {
 		t.Fatal("Has answers wrong")
 	}
-	s := c.Stats()
-	if s.Count != 1 || s.Bytes == 0 {
+	files, err := listDir(c.fsys, c.dir, resultExt)
+	if s := statsOf(files); err != nil || s.Count != 1 || s.Bytes == 0 {
 		t.Fatalf("stats = %+v", s)
 	}
 }
@@ -91,8 +82,8 @@ func TestChunkedRoundTrip(t *testing.T) {
 // TestChunkedAtomicVisibility: nothing is visible before Commit, Abort
 // leaves no trace, and Commit replaces a previous version atomically.
 func TestChunkedAtomicVisibility(t *testing.T) {
-	c := newTestChunkedDir(t)
-	w, err := c.Create("job-1")
+	c := newTestResultStore(t, 0, 0)
+	w, err := c.create("job-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,21 +106,12 @@ func TestChunkedAtomicVisibility(t *testing.T) {
 	if len(got) != 1 || string(got[0]) != "v2" {
 		t.Fatalf("got %q, want the replacing version", got)
 	}
-	if err := c.Delete("job-1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Open("job-1"); !errors.Is(err, ErrNoBlob) {
-		t.Fatalf("open after delete: %v, want ErrNoBlob", err)
-	}
-	if err := c.Delete("job-1"); err != nil {
-		t.Fatalf("double delete: %v", err)
-	}
 }
 
 // TestChunkedCorruptionDetected flips one payload byte and expects the
 // reader to refuse the frame rather than hand back damaged records.
 func TestChunkedCorruptionDetected(t *testing.T) {
-	c := newTestChunkedDir(t)
+	c := newTestResultStore(t, 0, 0)
 	writeChunks(t, c, "job-1", [][]byte{[]byte("meta"), []byte("records-chunk")})
 	path := filepath.Join(c.dir, "job-1.ndr")
 	data, err := os.ReadFile(path)
@@ -161,8 +143,8 @@ func TestChunkedCorruptionDetected(t *testing.T) {
 
 // TestChunkedEmptyAndOversizedFrames pins writer-side validation.
 func TestChunkedEmptyAndOversizedFrames(t *testing.T) {
-	c := newTestChunkedDir(t)
-	w, err := c.Create("job-1")
+	c := newTestResultStore(t, 0, 0)
+	w, err := c.create("job-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +168,15 @@ func TestChunkedStoreWiring(t *testing.T) {
 	if err := st.Results.Put("j-000001", []byte(`{"ok":true}`)); err != nil {
 		t.Fatal(err)
 	}
-	writeChunks(t, st.ResultChunks, "j-000001", [][]byte{[]byte("meta"), []byte("chunk")})
+	_, err = st.ResultFiles.Put("j-000001", false, func(w *ChunkWriter) error {
+		if err := w.WriteFrame([]byte("meta")); err != nil {
+			return err
+		}
+		return w.WriteFrame([]byte("chunk"))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := st.Stats()
 	if s.Results.Count != 1 {
 		t.Fatalf("results count = %d, want 1 (chunk files must not leak into the .json stats)", s.Results.Count)
@@ -195,7 +185,7 @@ func TestChunkedStoreWiring(t *testing.T) {
 		t.Fatalf("result_streams = %+v, want one counted stream", s.ResultStreams)
 	}
 	// One more frame check through the store handle, for the full path.
-	got, err := readChunks(st.ResultChunks, "j-000001")
+	got, err := readChunks(st.ResultFiles, "j-000001")
 	if err != nil || len(got) != 2 {
 		t.Fatalf("read through store: %v, %d frames", err, len(got))
 	}

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"errors"
 	"log/slog"
+	"sync"
 	"sync/atomic"
 )
 
@@ -13,6 +15,22 @@ import (
 type diag struct {
 	logger     *slog.Logger
 	trimErrors atomic.Uint64
+	// gate orders file writes against Store.Close: a write holds it
+	// shared and Close exclusively, so no file lands after Close returns.
+	gate   sync.RWMutex
+	closed bool
+}
+
+var errClosed = errors.New("store: closed")
+
+// write runs fn, one whole file write, unless the store is closed.
+func (d *diag) write(fn func() error) error {
+	d.gate.RLock()
+	defer d.gate.RUnlock()
+	if d.closed {
+		return errClosed
+	}
+	return fn()
 }
 
 func newDiag(logger *slog.Logger) *diag {

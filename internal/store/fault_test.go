@@ -91,37 +91,29 @@ func TestTrimCountsRemoveErrorsAndContinues(t *testing.T) {
 	dir := t.TempDir()
 	ffs := faultfs.NewFaultFS(faultfs.OS, 1)
 	d := newDiag(slog.New(slog.NewTextHandler(os.Stderr, nil)))
-	b, err := newBlobDir(ffs, d, dir, ".json")
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newResultStore(ffs, d, dir, 0, 0, nil)
 	base := time.Now().Add(-time.Hour)
 	for i, key := range []string{"aa", "bb", "cc"} {
-		if err := b.Put(key, []byte(`{"v":1}`)); err != nil {
-			t.Fatal(err)
-		}
+		putFrames(t, r, key, false)
+		r.Release(key)
 		// Stamp ascending mtimes so trim order is deterministic: aa oldest.
 		mt := base.Add(time.Duration(i) * time.Minute)
-		if err := os.Chtimes(filepath.Join(dir, key+".json"), mt, mt); err != nil {
+		if err := os.Chtimes(filepath.Join(dir, key+".ndr"), mt, mt); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ffs.Arm(faultfs.Rule{Op: faultfs.OpRemove, Path: "aa.json", Err: syscall.EIO, Count: -1})
+	ffs.Arm(faultfs.Rule{Op: faultfs.OpRemove, Path: "aa.ndr", Err: syscall.EIO, Count: -1})
 
-	removed, err := b.Trim(1, 0)
-	if err != nil {
-		t.Fatalf("trim: %v (remove errors must not abort the pass)", err)
-	}
-	if removed != 2 {
+	if removed := r.Trim(1, 1<<30); removed != 2 {
 		t.Fatalf("removed=%d, want 2 (bb and cc past the stuck aa)", removed)
 	}
 	if got := d.trimErrors.Load(); got != 1 {
 		t.Fatalf("trim_errors=%d, want 1", got)
 	}
-	if !b.Has("aa") {
+	if !r.Has("aa") {
 		t.Fatal("undeletable aa should survive")
 	}
-	if b.Has("bb") || b.Has("cc") {
+	if r.Has("bb") || r.Has("cc") {
 		t.Fatal("younger entries should have been trimmed past the stuck one")
 	}
 }
@@ -137,7 +129,7 @@ func TestOpenSweepsOrphanedTempFiles(t *testing.T) {
 	st.Close()
 	orphans := []string{
 		filepath.Join(dir, "results", ".tmp-123"),
-		filepath.Join(dir, "cache", ".tmp-999"),
+		filepath.Join(dir, "traces", ".tmp-999"),
 		filepath.Join(dir, "journal", ".tmp-1"),
 	}
 	for _, p := range orphans {

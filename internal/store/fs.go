@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 
 	"secreta/internal/faultfs"
@@ -85,4 +86,59 @@ func validBlobName(name string) error {
 		return fmt.Errorf("store: invalid blob name %q", name)
 	}
 	return nil
+}
+
+// dirFile is one committed file of a store directory: its name without
+// the extension, size and modification time.
+type dirFile struct {
+	name  string
+	size  int64
+	mtime int64
+}
+
+// listDir lists the committed files in dir that carry ext, oldest first
+// by modification time (ties by name). Temp files and entries whose info
+// cannot be read are skipped — listings are advisory.
+func listDir(fsys faultfs.FS, dir, ext string) ([]dirFile, error) {
+	entries, err := fsys.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []dirFile
+	for _, e := range entries {
+		name, ok := strings.CutSuffix(e.Name(), ext)
+		if e.IsDir() || !ok || name == "" || strings.HasPrefix(name, ".tmp-") {
+			continue
+		}
+		info, err := e.Info()
+		if err != nil {
+			continue
+		}
+		files = append(files, dirFile{name, info.Size(), info.ModTime().UnixNano()})
+	}
+	sort.Slice(files, func(i, j int) bool {
+		if files[i].mtime != files[j].mtime {
+			return files[i].mtime < files[j].mtime
+		}
+		return files[i].name < files[j].name
+	})
+	return files, nil
+}
+
+// names lists the files' names, in their order.
+func names(files []dirFile) []string {
+	out := make([]string, len(files))
+	for i, f := range files {
+		out[i] = f.name
+	}
+	return out
+}
+
+// statsOf sums the files' count and bytes.
+func statsOf(files []dirFile) BlobStats {
+	s := BlobStats{Count: len(files)}
+	for _, f := range files {
+		s.Bytes += f.size
+	}
+	return s
 }

@@ -27,15 +27,17 @@ type JobRecord struct {
 	// Tenant is the owning tenant's ID when the server runs with API-key
 	// scoping; empty in single-tenant mode. Journaled so ownership (and
 	// with it cross-tenant 404s) survives a restart.
-	Tenant      string          `json:"tenant,omitempty"`
-	Status      string          `json:"status"`
-	Error       string          `json:"error,omitempty"`
-	DatasetRef  string          `json:"dataset_ref,omitempty"`
-	Body        json.RawMessage `json:"body,omitempty"`
-	HasResult   bool            `json:"has_result,omitempty"`
-	SubmittedAt time.Time       `json:"submitted_at"`
-	StartedAt   time.Time       `json:"started_at,omitempty"`
-	FinishedAt  time.Time       `json:"finished_at,omitempty"`
+	Tenant     string          `json:"tenant,omitempty"`
+	Status     string          `json:"status"`
+	Error      string          `json:"error,omitempty"`
+	DatasetRef string          `json:"dataset_ref,omitempty"`
+	Body       json.RawMessage `json:"body,omitempty"`
+	HasResult  bool            `json:"has_result,omitempty"`
+	// Result is set for a done anonymize job: see ResultRef.
+	Result      *ResultRef `json:"result,omitempty"`
+	SubmittedAt time.Time  `json:"submitted_at"`
+	StartedAt   time.Time  `json:"started_at,omitempty"`
+	FinishedAt  time.Time  `json:"finished_at,omitempty"`
 }
 
 // DatasetClaim records one tenant's ownership of one dataset blob.
@@ -62,10 +64,11 @@ type walOp struct {
 	// existing job by ID. The dataset ops reuse ID for the dataset ref.
 	Job *JobRecord `json:"job,omitempty"`
 	ID  string     `json:"id,omitempty"`
-	// Status, Error and HasResult describe a "finish" transition.
-	Status    string `json:"status,omitempty"`
-	Error     string `json:"error,omitempty"`
-	HasResult bool   `json:"has_result,omitempty"`
+	// Status, Error, HasResult and Result describe a "finish" transition.
+	Status    string     `json:"status,omitempty"`
+	Error     string     `json:"error,omitempty"`
+	HasResult bool       `json:"has_result,omitempty"`
+	Result    *ResultRef `json:"result,omitempty"`
 	// Tenant and Bytes describe a dataset claim/release.
 	Tenant string `json:"tenant,omitempty"`
 	Bytes  int64  `json:"bytes,omitempty"`
@@ -275,6 +278,7 @@ func (j *Journal) apply(op *walOp) {
 		rec.Status = op.Status
 		rec.Error = op.Error
 		rec.HasResult = op.HasResult
+		rec.Result = op.Result
 		rec.FinishedAt = op.At
 		rec.Body = nil
 	case "delete":
@@ -354,9 +358,10 @@ func (j *Journal) Start(id string) error {
 
 // Finish journals a terminal transition (done/failed/cancelled/timed_out
 // in the server's vocabulary). hasResult records that a result blob was
-// durably written before this call.
-func (j *Journal) Finish(id, status, errMsg string, hasResult bool) error {
-	return j.append(&walOp{Op: "finish", At: time.Now(), ID: id, Status: status, Error: errMsg, HasResult: hasResult})
+// durably written before this call; ref, for a done anonymize job, names
+// its result file (written before this call too).
+func (j *Journal) Finish(id, status, errMsg string, hasResult bool, ref *ResultRef) error {
+	return j.append(&walOp{Op: "finish", At: time.Now(), ID: id, Status: status, Error: errMsg, HasResult: hasResult, Result: ref})
 }
 
 // Delete journals the removal of a job record (client delete or retention

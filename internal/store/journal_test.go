@@ -32,7 +32,7 @@ func TestJournalLifecycleSurvivesReopen(t *testing.T) {
 	if err := j.Start("j-000001"); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Finish("j-000001", "done", "", true); err != nil {
+	if err := j.Finish("j-000001", "done", "", true, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Start("j-000002"); err != nil {
@@ -133,7 +133,7 @@ func TestJournalReplayIdempotentOverSnapshot(t *testing.T) {
 	if err := j.Submit(submitRec("j-000001", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Finish("j-000001", "failed", "boom", false); err != nil {
+	if err := j.Finish("j-000001", "failed", "boom", false, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Keep a copy of the WAL, snapshot (which truncates), then restore
@@ -208,7 +208,7 @@ func TestJournalTornTailRepairedAndAppendable(t *testing.T) {
 		t.Fatalf("replayed %d jobs, want 2", got)
 	}
 	// The repaired log must accept appends and replay them next boot.
-	if err := j2.Finish("j-000002", "done", "", false); err != nil {
+	if err := j2.Finish("j-000002", "done", "", false, nil); err != nil {
 		t.Fatal(err)
 	}
 	j2.mu.Lock()

@@ -1,17 +1,17 @@
 // Package store is the durable persistence layer of secreta-serve: a
-// content-addressed blob store for registry datasets, an append-only
-// checksummed write-ahead log (WAL) of job lifecycle transitions with
-// periodic snapshot + truncation, and a disk-backed spill target for the
-// engine's result cache. Everything the server must not lose across a
+// content-addressed blob store for registry datasets, a content-addressed
+// result store for anonymize results, and an append-only checksummed
+// write-ahead log (WAL) of job lifecycle transitions with periodic
+// snapshot + truncation. Everything the server must not lose across a
 // restart lives under one data directory:
 //
 //	<data-dir>/
 //	  datasets/<fingerprint>.json   dataset blobs (content-addressed)
 //	  datasets/<fingerprint>.meta   cached {attrs, records, bytes} sidecar
-//	  results/<job-id>.json         terminal job result payloads
-//	  results/<job-id>.ndr          chunked record streams (framed, CRC'd)
+//	  results/<job-id>.json         evaluate/compare result documents
+//	  results/<sha256(key)>.ndr     anonymize results (framed, CRC'd),
+//	                                one per distinct engine cache key
 //	  traces/<job-id>.json          terminal job trace snapshots (span trees)
-//	  cache/<sha256(key)>.json      persisted result-cache entries
 //	  journal/wal.log               append-only checksummed job journal
 //	  journal/snapshot.json         job-table snapshot (WAL truncation point)
 //
@@ -19,8 +19,8 @@
 // fsync'd temp-file + rename in the same directory, and every WAL record
 // is length-prefixed and CRC-checked so replay stops cleanly at a torn
 // tail instead of refusing to boot. The package knows nothing about HTTP
-// or the engine; internal/registry, internal/engine and internal/server
-// consume it through narrow interfaces.
+// or the engine; internal/registry and internal/server consume it
+// through narrow interfaces.
 package store
 
 import (
@@ -36,8 +36,8 @@ import (
 
 // Default disk result-cache bounds, used when the operator does not tune
 // -disk-cache-entries / -disk-cache-bytes; they keep a long-lived data
-// directory from growing without bound. Oldest entries (by modification
-// time) are trimmed past either cap.
+// directory from growing without bound. They bound the result files no
+// job references, oldest (by modification time) trimmed first.
 const (
 	DefaultDiskCacheEntries = 4096
 	DefaultDiskCacheBytes   = 2 << 30 // 2 GiB of serialized results
@@ -53,8 +53,8 @@ type Options struct {
 	// SnapshotEvery is the number of WAL appends between automatic
 	// snapshots (<= 0: DefaultSnapshotEvery).
 	SnapshotEvery int
-	// CacheMaxEntries / CacheMaxBytes bound the on-disk result cache
-	// (<= 0: package defaults).
+	// CacheMaxEntries / CacheMaxBytes bound the on-disk result cache: the
+	// result files no job references (<= 0: package defaults).
 	CacheMaxEntries int
 	CacheMaxBytes   int64
 	// FS is the filesystem seam every durable byte flows through (nil:
@@ -74,19 +74,17 @@ type Store struct {
 	Dir string
 	// Datasets holds registry dataset blobs, fingerprint-named.
 	Datasets *DatasetStore
-	// Results holds terminal job result payloads, job-ID-named.
+	// Results holds evaluate/compare result documents, job-ID-named.
 	Results *BlobDir
-	// ResultChunks holds framed, chunked record streams of terminal
-	// anonymize jobs (results/<job-id>.ndr, next to the .json payloads) —
-	// the on-disk form streaming delivery serves without ever loading a
-	// whole result into memory.
-	ResultChunks *ChunkedDir
+	// ResultFiles holds anonymize results, one chunk file per distinct
+	// engine cache key (results/<sha256(key)>.ndr, next to the .json
+	// documents) — what streaming delivery serves without loading a whole
+	// result into memory, and the disk result cache.
+	ResultFiles *ResultStore
 	// Traces holds the final trace snapshot (JSON span tree) of each
 	// terminal job, job-ID-named — what GET /jobs/{id}/trace serves after
 	// a restart.
 	Traces *BlobDir
-	// Cache spills engine result-cache entries to disk.
-	Cache *CacheStore
 	// Journal is the WAL-backed job table.
 	Journal *Journal
 
@@ -99,7 +97,7 @@ type Store struct {
 	// on every probe.
 	statsMu    sync.Mutex
 	statsAt    time.Time
-	statsBlobs [5]BlobStats // datasets, results, result chunks, traces, cache
+	statsBlobs [5]BlobStats // datasets, results, result files, traces, unreferenced result files
 }
 
 // statsTTL bounds how stale the cached blob-walk numbers can be.
@@ -129,15 +127,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	chunks, err := newChunkedDir(fsys, filepath.Join(dir, "results"), ".ndr")
-	if err != nil {
-		return nil, err
-	}
 	traces, err := newBlobDir(fsys, d, filepath.Join(dir, "traces"), ".json")
-	if err != nil {
-		return nil, err
-	}
-	cache, err := newCacheStore(fsys, d, filepath.Join(dir, "cache"), opts.CacheMaxEntries, opts.CacheMaxBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +136,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	// mid-writeFileAtomic. The journal dir is swept too (snapshots go
 	// through the same temp-file dance).
 	swept := 0
-	for _, sub := range []string{dir, filepath.Join(dir, "datasets"), filepath.Join(dir, "results"), filepath.Join(dir, "traces"), filepath.Join(dir, "cache"), filepath.Join(dir, "journal")} {
+	for _, sub := range []string{dir, filepath.Join(dir, "datasets"), filepath.Join(dir, "results"), filepath.Join(dir, "traces"), filepath.Join(dir, "journal")} {
 		swept += sweepTempFiles(fsys, d.logger, sub)
 	}
 	journal, err := openJournal(fsys, filepath.Join(dir, "journal"), opts.SnapshotEvery)
@@ -157,9 +147,8 @@ func Open(dir string, opts Options) (*Store, error) {
 		Dir:          dir,
 		Datasets:     datasets,
 		Results:      results,
-		ResultChunks: chunks,
+		ResultFiles:  newResultStore(fsys, d, filepath.Join(dir, "results"), opts.CacheMaxEntries, opts.CacheMaxBytes, journal.Jobs()),
 		Traces:       traces,
-		Cache:        cache,
 		Journal:      journal,
 		fsys:         fsys,
 		diag:         d,
@@ -178,7 +167,7 @@ func (s *Store) OrphansSwept() int { return s.orphansSwept }
 func (s *Store) ProbeWrite() error {
 	path := filepath.Join(s.Dir, ".probe")
 	payload := []byte("secreta write probe\n")
-	if err := writeFileAtomic(s.fsys, path, payload); err != nil {
+	if err := s.diag.write(func() error { return writeFileAtomic(s.fsys, path, payload) }); err != nil {
 		return fmt.Errorf("store: probe write: %w", err)
 	}
 	got, err := s.fsys.ReadFile(path)
@@ -195,10 +184,14 @@ func (s *Store) ProbeWrite() error {
 }
 
 // Close snapshots the journal one last time (making the next boot replay
-// nothing) and closes the WAL. The blob sub-stores are stateless and need
-// no close.
+// nothing), closes the WAL, waits for file writes in flight and refuses
+// later ones: no file lands in the data directory after Close returns.
 func (s *Store) Close() error {
-	return s.Journal.Close()
+	err := s.Journal.Close()
+	s.diag.gate.Lock()
+	s.diag.closed = true
+	s.diag.gate.Unlock()
+	return err
 }
 
 // BlobStats is the occupancy of one blob directory.
@@ -214,11 +207,13 @@ type BlobStats struct {
 type Stats struct {
 	Datasets BlobStats `json:"datasets"`
 	Results  BlobStats `json:"results"`
-	// ResultStreams counts the chunked record-stream files next to the
-	// plain result payloads.
+	// ResultStreams counts every anonymize result file (.ndr), referenced
+	// or not.
 	ResultStreams BlobStats `json:"result_streams"`
 	// Traces counts the persisted terminal-job trace snapshots.
-	Traces              BlobStats    `json:"traces"`
+	Traces BlobStats `json:"traces"`
+	// ResultCache counts the result files no job references — the disk
+	// result cache the two caps below bound.
 	ResultCache         BlobStats    `json:"result_cache"`
 	ResultCacheMaxCount int          `json:"result_cache_max_count"`
 	ResultCacheMaxBytes int64        `json:"result_cache_max_bytes"`
@@ -238,12 +233,12 @@ type Stats struct {
 func (s *Store) Stats() Stats {
 	s.statsMu.Lock()
 	if time.Since(s.statsAt) >= statsTTL {
-		s.statsBlobs = [5]BlobStats{s.Datasets.Stats(), s.Results.Stats(), s.ResultChunks.Stats(), s.Traces.Stats(), s.Cache.Stats()}
+		all, unreferenced := s.ResultFiles.stats()
+		s.statsBlobs = [5]BlobStats{s.Datasets.Stats(), s.Results.Stats(), all, s.Traces.Stats(), unreferenced}
 		s.statsAt = time.Now()
 	}
 	blobs := s.statsBlobs
 	s.statsMu.Unlock()
-	maxEntries, maxBytes := s.Cache.Caps()
 	var retries uint64
 	if r, ok := s.fsys.(interface{ Retries() uint64 }); ok {
 		retries = r.Retries()
@@ -254,8 +249,8 @@ func (s *Store) Stats() Stats {
 		ResultStreams:       blobs[2],
 		Traces:              blobs[3],
 		ResultCache:         blobs[4],
-		ResultCacheMaxCount: maxEntries,
-		ResultCacheMaxBytes: maxBytes,
+		ResultCacheMaxCount: s.ResultFiles.maxEntries,
+		ResultCacheMaxBytes: s.ResultFiles.maxBytes,
 		Journal:             s.Journal.Stats(),
 		TrimErrors:          s.diag.trimErrors.Load(),
 		IORetries:           retries,

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"secreta/internal/dataset"
 )
@@ -58,37 +57,6 @@ func TestBlobDirRejectsTraversal(t *testing.T) {
 		if err := b.Put(name, []byte("x")); err == nil {
 			t.Fatalf("name %q accepted", name)
 		}
-	}
-}
-
-func TestBlobDirTrim(t *testing.T) {
-	b, err := NewBlobDir(t.TempDir(), ".json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, name := range []string{"old", "mid", "new"} {
-		if err := b.Put(name, bytes.Repeat([]byte("x"), 10)); err != nil {
-			t.Fatal(err)
-		}
-		// Distinct mtimes without sleeping.
-		mt := time.Now().Add(time.Duration(i-3) * time.Hour)
-		if err := os.Chtimes(filepath.Join(b.Dir(), name+".json"), mt, mt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	removed, err := b.Trim(2, 0)
-	if err != nil || removed != 1 {
-		t.Fatalf("Trim entries: removed=%d err=%v", removed, err)
-	}
-	if b.Has("old") {
-		t.Fatal("entry-cap trim removed the wrong blob")
-	}
-	removed, err = b.Trim(0, 10)
-	if err != nil || removed != 1 {
-		t.Fatalf("Trim bytes: removed=%d err=%v", removed, err)
-	}
-	if !b.Has("new") {
-		t.Fatal("byte-cap trim removed the newest blob")
 	}
 }
 
@@ -180,25 +148,6 @@ func TestDatasetStoreRoundTripAndVerify(t *testing.T) {
 	}
 }
 
-func TestCacheStoreRoundTrip(t *testing.T) {
-	c, err := NewCacheStore(t.TempDir(), 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := "abc123/def456" // engine keys contain '/'
-	if err := c.SaveResult(key, []byte("result")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.LoadResult(key)
-	if err != nil || string(got) != "result" {
-		t.Fatalf("LoadResult: %q, %v", got, err)
-	}
-	miss, err := c.LoadResult("nope")
-	if err != nil || miss != nil {
-		t.Fatalf("LoadResult miss: %q, %v", miss, err)
-	}
-}
-
 func TestStoreOpenLayoutAndStats(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{})
@@ -256,7 +205,7 @@ func TestDumpJournal(t *testing.T) {
 	if err := st.Journal.Start("j-000001"); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Journal.Finish("j-000001", "done", "", true); err != nil {
+	if err := st.Journal.Finish("j-000001", "done", "", true, nil); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

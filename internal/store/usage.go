@@ -1,10 +1,6 @@
 package store
 
-import (
-	"path/filepath"
-	"sort"
-	"strings"
-)
+import "path/filepath"
 
 // Disk-usage accounting and eviction-ordering helpers for the retention
 // sweeper (the server's GC): the sweeper needs a fresh byte total for the
@@ -46,7 +42,6 @@ func (s *Store) usageDirs() []string {
 		filepath.Join(s.Dir, "datasets"),
 		filepath.Join(s.Dir, "results"),
 		filepath.Join(s.Dir, "traces"),
-		filepath.Join(s.Dir, "cache"),
 		filepath.Join(s.Dir, "journal"),
 	}
 }
@@ -56,66 +51,10 @@ func (s *Store) usageDirs() []string {
 // dataset blobs must go. Listing failures are counted as trim errors and
 // answer an empty slice rather than wedging the sweep.
 func (d *DatasetStore) IDsByAge() []string {
-	entries, err := d.blobs.fsys.ReadDir(d.blobs.dir)
+	files, err := listDir(d.blobs.fsys, d.blobs.dir, d.blobs.ext)
 	if err != nil {
 		d.blobs.diag.trimError(d.blobs.dir, err)
 		return nil
 	}
-	type aged struct {
-		id    string
-		mtime int64
-	}
-	var files []aged
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), d.blobs.ext) || strings.HasPrefix(e.Name(), ".tmp-") {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		files = append(files, aged{strings.TrimSuffix(e.Name(), d.blobs.ext), info.ModTime().UnixNano()})
-	}
-	sort.Slice(files, func(i, j int) bool {
-		if files[i].mtime != files[j].mtime {
-			return files[i].mtime < files[j].mtime
-		}
-		return files[i].id < files[j].id
-	})
-	out := make([]string, len(files))
-	for i, f := range files {
-		out[i] = f.id
-	}
-	return out
-}
-
-// TrimTo shrinks the disk result cache under explicit caps now — the GC
-// sweeper's first lever, since cache entries are always reconstructible.
-// It reports how many entries were removed.
-func (c *CacheStore) TrimTo(maxEntries int, maxBytes int64) int {
-	removed, _ := c.blobs.Trim(maxEntries, maxBytes)
-	return removed
-}
-
-// Names lists the committed chunk files' names (job IDs), sorted —
-// recovery uses this to sweep orphaned result streams whose job record
-// is gone.
-func (c *ChunkedDir) Names() ([]string, error) {
-	entries, err := c.fsys.ReadDir(c.dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), c.ext) {
-			continue
-		}
-		name := strings.TrimSuffix(e.Name(), c.ext)
-		if strings.HasPrefix(name, ".tmp-") || name == "" {
-			continue
-		}
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out, nil
+	return names(files)
 }

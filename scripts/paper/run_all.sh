@@ -14,8 +14,9 @@
 #   bash scripts/paper/run_all.sh -repeats 3 -benchtime 500ms
 #   bash scripts/paper/run_all.sh -gate-only -label pr7-candidate
 #
-# Promote a run's analysis/baseline.json (or a flat BENCH_n.json from
-# scripts/bench.sh) to the tracked baseline, and gate future changes with
+# Promote a run's analysis/baseline.json (the historical flat
+# BENCH_n.json recordings load too) to the tracked baseline, and gate
+# future changes with
 # `secreta-bench compare -baseline <file>` (see docs/PERFORMANCE.md).
 set -euo pipefail
 cd "$(dirname "$0")/../.."
