@@ -389,3 +389,28 @@ func TestLCAProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestIndexLCAMatchesLCANodes checks the ID-based LCA against the pointer
+// walk on every node pair of auto-generated hierarchies of several
+// fanouts, including unbalanced ones (domain sizes not a power of the
+// fanout).
+func TestIndexLCAMatchesLCANodes(t *testing.T) {
+	for _, fanout := range []int{2, 3, 5} {
+		var vals []string
+		for i := 0; i < 23; i++ {
+			vals = append(vals, fmt.Sprintf("v%02d", i))
+		}
+		h, err := AutoCategorical("A", vals, fanout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix := h.Index()
+		for a := int32(0); a < int32(ix.Len()); a++ {
+			for b := int32(0); b < int32(ix.Len()); b++ {
+				if got, want := ix.Node(ix.LCA(a, b)), LCANodes(ix.Node(a), ix.Node(b)); got != want {
+					t.Fatalf("fanout %d: LCA(%q, %q) = %q, want %q", fanout, ix.Value(a), ix.Value(b), got.Value, want.Value)
+				}
+			}
+		}
+	}
+}

@@ -168,6 +168,21 @@ func (ix *Index) IsAncestorOrSelf(a, b int32) bool {
 	return a <= b && b < a+ix.size[a]
 }
 
+// LCA returns the ID of the least common ancestor of a and b —
+// LCANodes on array reads.
+func (ix *Index) LCA(a, b int32) int32 {
+	for ix.depth[a] > ix.depth[b] {
+		a = ix.par[a]
+	}
+	for ix.depth[b] > ix.depth[a] {
+		b = ix.par[b]
+	}
+	for a != b {
+		a, b = ix.par[a], ix.par[b]
+	}
+	return a
+}
+
 // AncestorAtDepth returns id's ancestor at the given depth (id itself when
 // depth(id) == d), or -1 when id is shallower than d.
 func (ix *Index) AncestorAtDepth(id int32, d int32) int32 {

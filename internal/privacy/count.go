@@ -43,7 +43,16 @@ type KMCounter struct {
 	numItems int
 	sc       kmScratch
 	touched  []uint32
+	// pairCount is a dense numItems×numItems support table for itemset
+	// size 2 when the domain is at most denseItems (nil otherwise, where
+	// the map in sc counts pairs); touchedPairs lists the cells to reset.
+	pairCount    []int32
+	touchedPairs []uint32
 }
+
+// denseItems is the largest item domain whose pair supports the counter
+// keeps in a dense table: 512² int32 cells are 1 MiB.
+const denseItems = 512
 
 // NewKMCounter builds a counter for transactions drawn from v's domain.
 func NewKMCounter(v *TxView) *KMCounter {
@@ -108,6 +117,35 @@ func (c *KMCounter) countSize(size, k int, groups [][][]uint32) int {
 		n := 0
 		for _, id := range c.touched {
 			if s := sc.single[id]; s > 0 && s < int32(k) {
+				n++
+			}
+		}
+		return n
+	case size == 2 && c.numItems <= denseItems:
+		if c.pairCount == nil {
+			c.pairCount = make([]int32, c.numItems*c.numItems)
+		}
+		for _, cell := range c.touchedPairs {
+			c.pairCount[cell] = 0
+		}
+		c.touchedPairs = c.touchedPairs[:0]
+		for _, txs := range groups {
+			for _, tx := range txs {
+				for i := 0; i < len(tx); i++ {
+					row := tx[i] * uint32(c.numItems)
+					for j := i + 1; j < len(tx); j++ {
+						cell := row + tx[j]
+						if c.pairCount[cell] == 0 {
+							c.touchedPairs = append(c.touchedPairs, cell)
+						}
+						c.pairCount[cell]++
+					}
+				}
+			}
+		}
+		n := 0
+		for _, cell := range c.touchedPairs {
+			if c.pairCount[cell] < int32(k) {
 				n++
 			}
 		}

@@ -23,7 +23,7 @@ package rt
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"secreta/internal/dataset"
@@ -149,35 +149,132 @@ type Result struct {
 type cluster struct {
 	records []int
 	relVals []string // generalized QI values, aligned with qis
-	// relNodes caches the hierarchy nodes of relVals so the O(clusters^2)
-	// merge scoring runs on pointers (LCA walks, O(1) NCP) instead of
-	// per-pair value lookups. nil when a signature value is unknown to its
-	// hierarchy; such clusters never merge (mirroring the old per-pair
-	// lookup error).
-	relNodes []*hierarchy.Node
-	items    [][]string
+	items   [][]string
 	// itemIDs mirrors items as dense IDs into the run's shared TxView —
 	// the representation every k^m gating check during the merge phase
 	// counts on. The inner slices alias the view (read-only); merging
 	// only appends to the outer list. Stale after a transaction-phase
 	// repair rewrites items, but no check runs after that point.
 	itemIDs [][]uint32
-	clean   bool // no further merge processing needed
-	merges  int  // merge-chain length, bounded by maxMergeChain
+	// viol caches the k^m violation count of itemIDs during the merge
+	// phase (-1: not counted yet); only a merge changes it.
+	viol   int
+	clean  bool // no further merge processing needed
+	merges int  // merge-chain length, bounded by maxMergeChain
 }
 
-// resolveNodes caches the cluster signature's hierarchy nodes.
-func (c *cluster) resolveNodes(hh []*hierarchy.Hierarchy) {
-	nodes := make([]*hierarchy.Node, len(c.relVals))
-	for i, v := range c.relVals {
-		n := hh[i].Node(v)
-		if n == nil {
-			c.relNodes = nil
-			return
+// qiIndex is one QI hierarchy as the merge phase reads it: dense preorder
+// node IDs and every node's NCP, computed once per run.
+type qiIndex struct {
+	ix  *hierarchy.Index
+	ncp []float64 // by node ID: Hierarchy.NCPNode of the node
+	// lcaNCP[id] memoizes NCP(LCA(focus value, id)) for the focused
+	// cluster; an entry is valid while stamp[id] equals the table's pick.
+	lcaNCP []float64
+	stamp  []uint32
+}
+
+// sigTable holds every cluster's signature for merge scoring, one row per
+// cluster slot: the node ID of each QI value, then the cluster's record
+// count, or -1 there when a value is unknown to its hierarchy (such a
+// cluster never merges). The partner scan, one pass over the live
+// clusters per traversal step, streams this flat array and reads each
+// merged NCP from a per-pick memo, so an LCA walk runs once per distinct
+// node per pick rather than once per candidate.
+type sigTable struct {
+	qx    []qiIndex
+	w     int // row width: QIs + 1
+	row   []int32
+	focus int    // the cluster whose partners are being scored
+	pick  uint32 // generation of the lcaNCP memos
+}
+
+func newSigTable(hh []*hierarchy.Hierarchy, clusters []*cluster) *sigTable {
+	t := &sigTable{qx: make([]qiIndex, len(hh)), w: len(hh) + 1}
+	for i, h := range hh {
+		ix := h.Index()
+		ncp := make([]float64, ix.Len())
+		for id := range ncp {
+			ncp[id] = h.NCPNode(ix.Node(int32(id)))
 		}
-		nodes[i] = n
+		t.qx[i] = qiIndex{ix: ix, ncp: ncp, lcaNCP: make([]float64, ix.Len()), stamp: make([]uint32, ix.Len())}
 	}
-	c.relNodes = nodes
+	t.row = make([]int32, len(clusters)*t.w)
+	for j, c := range clusters {
+		r := t.row[j*t.w : (j+1)*t.w]
+		r[len(hh)] = int32(len(c.records))
+		for i, v := range c.relVals {
+			id, ok := t.qx[i].ix.ID(v)
+			if !ok {
+				r[len(hh)] = -1
+				break
+			}
+			r[i] = id
+		}
+	}
+	return t
+}
+
+// setFocus makes cluster i the one relDelta scores partners for.
+func (t *sigTable) setFocus(i int) {
+	t.focus = i
+	t.pick++
+	if t.pick == 0 { // wrapped: no stamp may look current
+		for _, qi := range t.qx {
+			clear(qi.stamp)
+		}
+		t.pick = 1
+	}
+}
+
+// relDelta computes the average per-attribute NCP increase of merging
+// the focused cluster with cluster j: NCP(LCA of both signatures) minus
+// the size-weighted current NCP. ok is false when either signature is
+// unknown.
+func (t *sigTable) relDelta(j int) (delta float64, ok bool) {
+	q := len(t.qx)
+	a, b := t.row[t.focus*t.w:(t.focus+1)*t.w], t.row[j*t.w:(j+1)*t.w]
+	if a[q] < 0 || b[q] < 0 {
+		return 0, false
+	}
+	na, nb := float64(a[q]), float64(b[q])
+	for x := range t.qx {
+		qi := &t.qx[x]
+		if qi.stamp[b[x]] != t.pick {
+			qi.lcaNCP[b[x]] = qi.ncp[qi.ix.LCA(a[x], b[x])]
+			qi.stamp[b[x]] = t.pick
+		}
+		newNCP := qi.lcaNCP[b[x]]
+		aNCP := qi.ncp[a[x]]
+		bNCP := qi.ncp[b[x]]
+		cur := (aNCP*na + bNCP*nb) / (na + nb)
+		delta += newNCP - cur
+	}
+	return delta / float64(q), true
+}
+
+// merge moves row i to the per-attribute LCA of rows i and j and sums
+// their record counts, returning the merged signature's values. The next
+// setFocus drops memos computed for the old row.
+func (t *sigTable) merge(i, j int) []string {
+	q := len(t.qx)
+	a, b := t.row[i*t.w:(i+1)*t.w], t.row[j*t.w:(j+1)*t.w]
+	vals := make([]string, q)
+	for x, qi := range t.qx {
+		a[x] = qi.ix.LCA(a[x], b[x])
+		vals[x] = qi.ix.Value(a[x])
+	}
+	a[q] += b[q]
+	return vals
+}
+
+// violations returns the k^m violation count of c's transactions,
+// counting them on first use after construction or a merge.
+func (c *cluster) violations(counter *privacy.KMCounter, k, m int) int {
+	if c.viol < 0 {
+		c.viol = counter.Count(k, m, 0, c.itemIDs)
+	}
+	return c.viol
 }
 
 // maxMergeChain bounds how many merges one cluster may absorb; beyond it
@@ -233,8 +330,10 @@ func Anonymize(ds *dataset.Dataset, opts Options) (*Result, error) {
 	// length, which dominated the traversal's allocations.
 	view := txView(ds, opts)
 	counter := privacy.NewKMCounter(view)
-	clusters := clustersFromClasses(ds, relRes.Anonymized, qis, hh, view)
+	clusters := clustersFromClasses(ds, relRes.Anonymized, qis, view)
+	sigs := newSigTable(hh, clusters)
 	merges := 0
+	var cands []candidate
 	for {
 		// One traversal iteration scans clusters and scores merge
 		// candidates; polling here (and inside pickPartner) bounds the
@@ -247,7 +346,7 @@ func Anonymize(ds *dataset.Dataset, opts Options) (*Result, error) {
 			if c == nil || c.clean {
 				continue
 			}
-			if counter.Anonymous(opts.K, opts.M, c.itemIDs) {
+			if c.violations(counter, opts.K, opts.M) == 0 {
 				c.clean = true
 				continue
 			}
@@ -258,23 +357,28 @@ func Anonymize(ds *dataset.Dataset, opts Options) (*Result, error) {
 			break
 		}
 		c := clusters[dirtyIdx]
-		partner, delta := pickPartner(clusters, dirtyIdx, hh, opts, counter)
-		if partner >= 0 && delta <= opts.Delta && (opts.UngatedMerges || c.merges < maxMergeChain) {
-			// Merge only when it actually helps the transaction side:
-			// the merged multiset must have strictly fewer violations
-			// than the two clusters separately (shared rare itemsets
-			// combine support and clear k).
-			helps := opts.UngatedMerges
-			if !helps {
-				before := counter.Count(opts.K, opts.M, 0, c.itemIDs) +
-					counter.Count(opts.K, opts.M, 0, clusters[partner].itemIDs)
-				after := counter.Count(opts.K, opts.M, 0, c.itemIDs, clusters[partner].itemIDs)
-				helps = after < before
-			}
-			if helps {
-				mergeClusters(clusters, dirtyIdx, partner, hh)
-				merges++
-				continue
+		// A cluster at the merge-chain cap goes to the transaction phase
+		// whoever its partner would be, so its partner scan is skipped.
+		if opts.UngatedMerges || c.merges < maxMergeChain {
+			partner, delta := pickPartner(clusters, dirtyIdx, sigs, opts, counter, &cands)
+			if partner >= 0 && delta <= opts.Delta {
+				// Merge only when it actually helps the transaction side:
+				// the merged multiset must have strictly fewer violations
+				// than the two clusters separately (shared rare itemsets
+				// combine support and clear k).
+				helps, after := opts.UngatedMerges, -1
+				if !helps {
+					before := c.violations(counter, opts.K, opts.M) +
+						clusters[partner].violations(counter, opts.K, opts.M)
+					after = counter.Count(opts.K, opts.M, 0, c.itemIDs, clusters[partner].itemIDs)
+					helps = after < before
+				}
+				if helps {
+					mergeClusters(clusters, sigs, dirtyIdx, partner)
+					c.viol = after // the merged multiset's count, when gated
+					merges++
+					continue
+				}
 			}
 		}
 		// Too costly or unhelpful to merge: defer to the transaction
@@ -397,12 +501,11 @@ func txView(ds *dataset.Dataset, opts Options) *privacy.TxView {
 
 // clustersFromClasses rebuilds cluster state from the relational phase's
 // equivalence classes.
-func clustersFromClasses(orig, anon *dataset.Dataset, qis []int, hh []*hierarchy.Hierarchy, view *privacy.TxView) []*cluster {
+func clustersFromClasses(orig, anon *dataset.Dataset, qis []int, view *privacy.TxView) []*cluster {
 	classes := privacy.Partition(anon, qis)
 	out := make([]*cluster, len(classes))
 	for i, cl := range classes {
-		c := &cluster{records: append([]int(nil), cl.Records...), relVals: cl.Signature}
-		c.resolveNodes(hh)
+		c := &cluster{records: append([]int(nil), cl.Records...), relVals: cl.Signature, viol: -1}
 		c.items = itemsOf(orig, c.records)
 		c.itemIDs = make([][]uint32, len(c.records))
 		for j, r := range c.records {
@@ -419,51 +522,6 @@ func itemsOf(ds *dataset.Dataset, records []int) [][]string {
 		out[i] = append([]string(nil), ds.Records[r].Items...)
 	}
 	return out
-}
-
-// relDelta computes the average per-attribute NCP increase of merging two
-// clusters: NCP(LCA of both signatures) minus the size-weighted current
-// NCP. Runs on the clusters' cached signature nodes — LCA walks and O(1)
-// NCP reads, no value lookups.
-func relDelta(a, b *cluster, hh []*hierarchy.Hierarchy) (float64, []*hierarchy.Node, error) {
-	if a.relNodes == nil || b.relNodes == nil {
-		return 0, nil, fmt.Errorf("rt: cluster signature unknown to hierarchy")
-	}
-	newNodes := make([]*hierarchy.Node, len(a.relNodes))
-	delta := 0.0
-	na, nb := float64(len(a.records)), float64(len(b.records))
-	for i, h := range hh {
-		lca := hierarchy.LCANodes(a.relNodes[i], b.relNodes[i])
-		newNodes[i] = lca
-		newNCP := h.NCPNode(lca)
-		aNCP := h.NCPNode(a.relNodes[i])
-		bNCP := h.NCPNode(b.relNodes[i])
-		cur := (aNCP*na + bNCP*nb) / (na + nb)
-		delta += newNCP - cur
-	}
-	return delta / float64(len(hh)), newNodes, nil
-}
-
-// relDeltaCost is relDelta without materializing the merged signature
-// nodes — the candidate-scoring scan only needs the cost, and runs
-// O(clusters) times per traversal step. The float operations are the
-// same sequence as relDelta's, so the scores (and the partner choice)
-// are bit-identical.
-func relDeltaCost(a, b *cluster, hh []*hierarchy.Hierarchy) (float64, error) {
-	if a.relNodes == nil || b.relNodes == nil {
-		return 0, fmt.Errorf("rt: cluster signature unknown to hierarchy")
-	}
-	delta := 0.0
-	na, nb := float64(len(a.records)), float64(len(b.records))
-	for i, h := range hh {
-		lca := hierarchy.LCANodes(a.relNodes[i], b.relNodes[i])
-		newNCP := h.NCPNode(lca)
-		aNCP := h.NCPNode(a.relNodes[i])
-		bNCP := h.NCPNode(b.relNodes[i])
-		cur := (aNCP*na + bNCP*nb) / (na + nb)
-		delta += newNCP - cur
-	}
-	return delta / float64(len(hh)), nil
 }
 
 // transCost estimates the transaction-side repair work remaining after
@@ -493,19 +551,32 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
+// candidate is one scored merge partner of pickPartner.
+type candidate struct {
+	j        int
+	rd       float64
+	tc       float64
+	combined float64
+}
+
 // pickPartner selects the best merge partner for cluster i per the bounding
 // method, returning the partner index (or -1) and the merge's relational
-// delta. Scoring every candidate pair is the traversal's hot path, so the
-// scan polls the options context and bails out with -1 when cancelled; the
-// caller's own poll then surfaces the context error.
-func pickPartner(clusters []*cluster, i int, hh []*hierarchy.Hierarchy, opts Options, counter *privacy.KMCounter) (int, float64) {
-	type cand struct {
-		j        int
-		rd       float64
-		tc       float64
-		combined float64
-	}
-	var cands []cand
+// delta. Scoring every candidate is the traversal's hot path, so the scan
+// polls the options context and bails out with -1 when cancelled; the
+// caller's own poll then surfaces the context error. buf is the caller's
+// candidate buffer, reused across picks.
+//
+// Rmerger takes the candidate with the least relational delta in one
+// linear pass. Only when several candidates tie at a minimum within
+// opts.Delta does it sort them all: the sort is unstable, and its order
+// among equal deltas (a function of the whole candidate list) is what
+// decides the partner. slices.SortFunc runs the same pattern-defeating
+// quicksort as the sort.Slice the bounding methods were defined with
+// (both are generated from one template and consult only "less"), so it
+// orders ties the same way without reflection.
+func pickPartner(clusters []*cluster, i int, sigs *sigTable, opts Options, counter *privacy.KMCounter, buf *[]candidate) (int, float64) {
+	cands := (*buf)[:0]
+	sigs.setFocus(i)
 	for j, other := range clusters {
 		if ctxErr(opts.Ctx) != nil {
 			return -1, 0
@@ -513,28 +584,43 @@ func pickPartner(clusters []*cluster, i int, hh []*hierarchy.Hierarchy, opts Opt
 		if j == i || other == nil {
 			continue
 		}
-		rd, err := relDeltaCost(clusters[i], other, hh)
-		if err != nil {
+		rd, ok := sigs.relDelta(j)
+		if !ok {
 			continue
 		}
-		c := cand{j: j, rd: rd}
+		c := candidate{j: j, rd: rd}
 		if opts.Flavor != RMerge {
 			c.tc = transCost(clusters[i], other, opts.K, opts.M, counter)
 		}
 		cands = append(cands, c)
 	}
+	*buf = cands
 	if len(cands) == 0 {
 		return -1, 0
 	}
 	switch opts.Flavor {
 	case RMerge:
-		sort.Slice(cands, func(a, b int) bool { return cands[a].rd < cands[b].rd })
-	case TMerge:
-		sort.Slice(cands, func(a, b int) bool {
-			if cands[a].tc != cands[b].tc {
-				return cands[a].tc < cands[b].tc
+		best, ties := 0, 1
+		for idx := 1; idx < len(cands); idx++ {
+			switch {
+			case cands[idx].rd < cands[best].rd:
+				best, ties = idx, 1
+			case cands[idx].rd == cands[best].rd:
+				ties++
 			}
-			return cands[a].rd < cands[b].rd
+		}
+		// Above opts.Delta no merge happens, so any minimal candidate
+		// will do.
+		if ties == 1 || cands[best].rd > opts.Delta {
+			return cands[best].j, cands[best].rd
+		}
+		slices.SortFunc(cands, func(a, b candidate) int { return compareFloat(a.rd, b.rd) })
+	case TMerge:
+		slices.SortFunc(cands, func(a, b candidate) int {
+			if a.tc != b.tc {
+				return compareFloat(a.tc, b.tc)
+			}
+			return compareFloat(a.rd, b.rd)
 		})
 	default: // RTMerge
 		// Normalize relational deltas to [0,1] by the max candidate.
@@ -551,28 +637,34 @@ func pickPartner(clusters []*cluster, i int, hh []*hierarchy.Hierarchy, opts Opt
 			}
 			cands[idx].combined = opts.Weight*nrd + (1-opts.Weight)*cands[idx].tc
 		}
-		sort.Slice(cands, func(a, b int) bool { return cands[a].combined < cands[b].combined })
+		slices.SortFunc(cands, func(a, b candidate) int { return compareFloat(a.combined, b.combined) })
 	}
 	return cands[0].j, cands[0].rd
 }
 
-// mergeClusters folds cluster j into cluster i, updating signatures to the
-// per-attribute LCA. Cluster j's slot becomes nil.
-func mergeClusters(clusters []*cluster, i, j int, hh []*hierarchy.Hierarchy) {
+// compareFloat orders x and y by "<" alone, so that compareFloat(x, y) < 0
+// exactly when x < y.
+func compareFloat(x, y float64) int {
+	switch {
+	case x < y:
+		return -1
+	case y < x:
+		return 1
+	}
+	return 0
+}
+
+// mergeClusters folds cluster j into cluster i, moving i's signature to
+// the per-attribute LCA of both. Cluster j's slot becomes nil. pickPartner
+// offers no cluster whose signature is unknown to its hierarchy, so both
+// signatures here are known.
+func mergeClusters(clusters []*cluster, sigs *sigTable, i, j int) {
 	a, b := clusters[i], clusters[j]
-	_, newNodes, err := relDelta(a, b, hh)
-	if err != nil {
-		return
-	}
-	newVals := make([]string, len(newNodes))
-	for i, n := range newNodes {
-		newVals[i] = n.Value
-	}
-	a.relVals = newVals
-	a.relNodes = newNodes
+	a.relVals = sigs.merge(i, j)
 	a.records = append(a.records, b.records...)
 	a.items = append(a.items, b.items...)
 	a.itemIDs = append(a.itemIDs, b.itemIDs...)
+	a.viol = -1
 	a.clean = false
 	a.merges += b.merges + 1
 	clusters[j] = nil

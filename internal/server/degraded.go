@@ -1,11 +1,13 @@
 package server
 
 import (
+	"errors"
 	"net/http"
 	"sync"
 	"time"
 
 	"secreta/internal/faultfs"
+	"secreta/internal/store"
 )
 
 // Degraded read-only mode: when a durable write the server cannot work
@@ -93,11 +95,12 @@ func (d *degradedState) clear() bool {
 
 // storeFault classifies one durable-write failure from a degraded-mode
 // trigger point (journal append, WAL frame, result-blob persist): a
-// transient error is the retry layer's business and never trips the
+// transient error is the retry layer's business and a write refused by a
+// closed store is a shutdown racing a finishing job, so neither trips the
 // latch; anything else flips the server read-only. where names the
 // failing write in logs and /healthz.
 func (s *Server) storeFault(where string, err error) {
-	if err == nil || faultfs.IsTransient(err) {
+	if err == nil || faultfs.IsTransient(err) || errors.Is(err, store.ErrClosed) {
 		return
 	}
 	reason := where + ": " + err.Error()

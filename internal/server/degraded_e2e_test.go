@@ -1,13 +1,16 @@
 package server
 
 import (
+	"context"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"secreta/internal/faultfs"
+	"secreta/internal/store"
 )
 
 // TestDegradedModeProbeRearms is the degraded-mode round trip on one
@@ -116,4 +119,47 @@ func scrapeContains(t *testing.T, base, line string) bool {
 		}
 	}
 	return false
+}
+
+// TestPersistAfterCloseStaysHealthy closes the store under a live server,
+// as the end of an ordinary shutdown does while a job may still finish.
+// The job's journal records and result file are then refused with
+// store.ErrClosed, and those refusals must not latch degraded mode.
+func TestPersistAfterCloseStaysHealthy(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	srv := mustNew(t, ctx, Options{Store: st, Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	waitReady(t, ts.URL)
+
+	raw, _ := patientsJSON(t)
+	code, body := uploadDataset(t, ts.URL, raw)
+	if code != http.StatusCreated {
+		t.Fatalf("upload: %d %v", code, body)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	resp, sub := postJSON(t, ts.URL+"/anonymize", map[string]any{
+		"dataset_ref": body["dataset_ref"],
+		"config":      map[string]any{"algo": "cluster", "k": 4},
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit after close: %d %v", resp.StatusCode, sub)
+	}
+	if st := pollDone(t, ts.URL, sub["job"].(string)); st != StatusDone {
+		t.Fatalf("job after close: %s", st)
+	}
+	_, stats := getJSON(t, ts.URL+"/stats")
+	if n, _ := dig(stats, "degraded", "entered_total").(float64); n != 0 {
+		t.Fatalf("degraded.entered_total = %v after writes refused by a closed store, want 0", n)
+	}
+	if srv.degraded.isActive() {
+		t.Fatal("a closed store latched degraded mode")
+	}
 }

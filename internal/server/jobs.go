@@ -339,6 +339,13 @@ func (s *jobStore) journal(fn func(*store.Journal) error) {
 		return
 	}
 	if err := fn(s.st.Journal); err != nil {
+		if errors.Is(err, store.ErrClosed) {
+			// A shutdown closed the store under a finishing job: the
+			// record is lost as in a crash a moment earlier, but no
+			// storage is at fault.
+			s.log().Warn("journal append refused: store closed", "err", err)
+			return
+		}
 		s.log().Error("journal append failed", "err", err)
 		if s.onJournalError != nil {
 			s.onJournalError(err)

@@ -21,14 +21,17 @@ type diag struct {
 	closed bool
 }
 
-var errClosed = errors.New("store: closed")
+// ErrClosed is wrapped by every write the store refuses because it has
+// been closed. Such a refusal is the ordinary end of a shutdown that
+// raced a finishing job, not a storage fault.
+var ErrClosed = errors.New("store: closed")
 
 // write runs fn, one whole file write, unless the store is closed.
 func (d *diag) write(fn func() error) error {
 	d.gate.RLock()
 	defer d.gate.RUnlock()
 	if d.closed {
-		return errClosed
+		return ErrClosed
 	}
 	return fn()
 }

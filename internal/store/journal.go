@@ -320,7 +320,7 @@ func (j *Journal) append(op *walOp) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
-		return fmt.Errorf("store: journal is closed")
+		return fmt.Errorf("journal: %w", ErrClosed)
 	}
 	if err := appendWALRecord(j.f, payload); err != nil {
 		// A short write leaves a torn frame mid-file; without rolling
@@ -429,7 +429,7 @@ func (j *Journal) Snapshot() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
-		return fmt.Errorf("store: journal is closed")
+		return fmt.Errorf("journal: %w", ErrClosed)
 	}
 	return j.snapshotLocked()
 }

@@ -284,11 +284,11 @@ func TestCloseRefusesLaterWrites(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Traces.Put("j-000001", []byte(`{}`)); !errors.Is(err, errClosed) {
-		t.Fatalf("trace put after Close: %v, want errClosed", err)
+	if err := st.Traces.Put("j-000001", []byte(`{}`)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("trace put after Close: %v, want ErrClosed", err)
 	}
-	if _, err := st.ResultFiles.Put(ResultAddr("k"), false, func(*ChunkWriter) error { return nil }); !errors.Is(err, errClosed) {
-		t.Fatalf("result put after Close: %v, want errClosed", err)
+	if _, err := st.ResultFiles.Put(ResultAddr("k"), false, func(*ChunkWriter) error { return nil }); !errors.Is(err, ErrClosed) {
+		t.Fatalf("result put after Close: %v, want ErrClosed", err)
 	}
 	if st.Traces.Has("j-000001") || st.ResultFiles.Has(ResultAddr("k")) || st.ResultFiles.Refs(ResultAddr("k")) != 0 {
 		t.Fatal("a refused write left a file or a reference behind")
